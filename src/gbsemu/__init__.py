@@ -18,6 +18,7 @@ from .benchmark import (
 from .cumulants import (
     SubsetTable,
     click_cumulant,
+    click_cumulants_from_cumulants,
     correlator,
     correlator_table,
     correlators_from_cumulants,

@@ -17,10 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .cumulants import click_cumulant
+from .cumulants import (
+    click_cumulants_from_cumulants,
+    correlator_table,
+    cumulants_from_correlators,
+)
 from .errors import ValidationError
 from .gaussian import GaussianInstance, brute_force_distribution
-from .subsets import partition_patterns
+from .subsets import partition_patterns, subset_rank
 
 CUMULANT_MAX_ORDER = 6
 DEFAULT_BOOTSTRAP = 100
@@ -304,15 +308,23 @@ def cumulant_comparison(
     sample_fractions: dict[int, float] | None = None,
     with_se: bool = False,
 ):
-    """Rows of (subset, order, theory, estimate, se) for the scatter data."""
+    """Rows of (subset, order, theory, estimate, se) for the scatter data.
+
+    The theory column comes from one correlator table up to the highest
+    order, through the cumulant transform.
+    """
     arr = _as_samples(samples)
     rows = []
+    if not orders:
+        return rows
+    K = max(orders)
+    click = click_cumulants_from_cumulants(cumulants_from_correlators(correlator_table(inst, K)))
     for d in orders:
         ests = estimate_click_cumulants(
             arr, K=d, orders=[d], sample_fractions=sample_fractions, seed=seed
         )
         for est in ests:
-            theory = click_cumulant(inst, est.subset)
+            theory = float(click[subset_rank(est.subset, inst.M, K)])
             se = 0.0
             if with_se:
                 cols = list(est.subset)

@@ -147,6 +147,7 @@ def cmd_sample(args) -> int:
             extra={
                 "n_generated": batch.N,
                 "n_failed": batch.n_failed,
+                "worker_errors": batch.worker_errors,
                 "n_flagged": batch.n_flagged,
                 "per_sample_s": batch.per_sample_mean,
                 "throughput_per_s": (batch.N / batch.wall_time) if batch.wall_time > 0 else 0.0,

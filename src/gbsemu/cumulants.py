@@ -12,28 +12,23 @@ from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ResourceGuardError, ValidationError
+from .errors import NumericalError, ResourceGuardError, ValidationError
 from .gaussian import GaussianInstance, reduce_modes, vacuum_overlap
-from .subsets import (
-    colex_rank,
-    order_offset,
-    partition_patterns,
-    subset_rank,
-    subset_unrank,
-    table_size,
-)
+from .subsets import order_offset, partition_patterns, subset_rank, table_size
 
 MAX_ORDER = 6
 DEFAULT_MEM_CAP_BYTES = 8 << 30
 MOMENT_MAX_ORDER = 12
+# Subsets per batched determinant / gather step; bounds the kernel's scratch memory.
+_CHUNK_ROWS = 4096
 
 _MAGIC = {"correlator": b"GBSC", "cumulant": b"GBSK"}
 _FILE_VERSION = 1
@@ -104,22 +99,6 @@ def correlator(inst: GaussianInstance, subset) -> float:
     return (-1.0) ** d * total
 
 
-_WORKER_INST: GaussianInstance | None = None
-
-
-def _init_worker(inst: GaussianInstance) -> None:
-    global _WORKER_INST
-    _WORKER_INST = inst
-
-
-def _correlator_chunk(args):
-    M, K, start, stop = args
-    out = np.empty(stop - start)
-    for off in range(start, stop):
-        out[off - start] = correlator(_WORKER_INST, subset_unrank(off, M, K))
-    return start, out
-
-
 def correlator_table(
     inst: GaussianInstance,
     K: int,
@@ -128,33 +107,67 @@ def correlator_table(
 ) -> SubsetTable:
     """Correlators of every subset of order 1..K.
 
-    Entries are computed independently per subset, so the result is
-    bit-identical for any worker count.  Refuses when the value array
-    would exceed the memory cap (GBS_MEM_CAP_BYTES or 8 GiB).
+    The no-click probability P0 of every subset is computed once, one
+    determinant each, into a table of the same layout, order by order;
+    each correlator then gathers the P0 values of its sub-subsets.  Every entry repeats
+    the arithmetic of :func:`correlator`, so the table is bit-identical to
+    per-subset calls.  ``workers`` is accepted for compatibility and
+    starts no processes.  Refuses when the correlator and P0 tables would
+    together exceed the memory cap (GBS_MEM_CAP_BYTES or 8 GiB).
     """
     M = inst.M
     if not 1 <= K <= min(MAX_ORDER, M):
         raise ValidationError(f"order K={K} invalid for M={M}")
     count = table_size(M, K)
     cap = _mem_cap(mem_cap_bytes)
-    if 8 * count > cap:
+    need = 2 * 8 * count
+    if need > cap:
         raise ResourceGuardError(
-            f"correlator table needs {8 * count} bytes, cap is {cap}; "
+            f"correlator and P0 tables need {need} bytes, cap is {cap}; "
             "raise GBS_MEM_CAP_BYTES to proceed"
         )
+    p0 = np.empty(count)
     values = np.empty(count)
-    if workers <= 1:
-        for d in range(1, K + 1):
-            base = order_offset(M, d)
-            for S in combinations(range(M), d):
-                values[base + colex_rank(S)] = correlator(inst, S)
-    else:
-        chunk = max(256, count // (workers * 8))
-        tasks = [(M, K, s, min(s + chunk, count)) for s in range(0, count, chunk)]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(inst,)) as ex:
-            for start, arr in ex.map(_correlator_chunk, tasks):
-                values[start : start + arr.size] = arr
+    for d in range(1, K + 1):
+        base = order_offset(M, d)
+        for start, rows in _colex_chunks(M, d):
+            # sub-subsets of lower order are filled already; R = S is this chunk
+            span = slice(base + start, base + start + rows.shape[0])
+            p0[span] = _no_click_probabilities(inst, rows)
+            total = np.ones(rows.shape[0])
+            for r in range(1, d + 1):
+                ranks = np.stack(
+                    [_block_ranks(rows, R, M) for R in combinations(range(d), r)], axis=1
+                )
+                total += (-2.0) ** r * p0[ranks].sum(axis=1)
+            values[span] = (-1.0) ** d * total
     return SubsetTable(M=M, K=K, values=values, kind="correlator")
+
+
+def _no_click_probabilities(inst: GaussianInstance, rows: np.ndarray) -> np.ndarray:
+    """Vacuum overlap of the reduced state on each subset row.
+
+    1/sqrt(det((sigma_R + hbar/2)/hbar)), times exp(-mu^T (sigma_R + hbar/2)^-1 mu / 2)
+    when the instance is displaced.
+    """
+    M, hbar = inst.M, inst.hbar
+    quad = np.concatenate([rows, rows + M], axis=1)
+    mats = inst.sigma[quad[:, :, None], quad[:, None, :]]
+    shifted = mats + (hbar / 2.0) * np.eye(quad.shape[1])
+    det = np.linalg.det(shifted / hbar)
+    bad = ~(np.isfinite(det) & (det > 0.0))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise NumericalError(
+            f"shifted covariance of modes {tuple(int(k) for k in rows[t])} has "
+            f"determinant {det[t]!r}: input state is invalid"
+        )
+    vals = 1.0 / np.sqrt(det)
+    if inst.is_displaced:
+        mu = inst.mu[quad]
+        x = np.linalg.solve(shifted, mu[:, :, None])[:, :, 0]
+        vals *= np.exp(-0.5 * np.einsum("ij,ij->i", mu, x))
+    return vals
 
 
 def _mem_cap(explicit: int | None) -> int:
@@ -164,23 +177,39 @@ def _mem_cap(explicit: int | None) -> int:
     return int(env) if env else DEFAULT_MEM_CAP_BYTES
 
 
-def _comb_vec(n: np.ndarray, k: int) -> np.ndarray:
-    """Binomial coefficients of an integer array (exact for desk sizes)."""
-    out = np.ones(n.shape, dtype=np.int64)
-    for j in range(k):
-        out = out * (n - j)
-    for j in range(2, k + 1):
-        out //= j
-    return np.where(n >= k, out, 0)
+@lru_cache(maxsize=16)
+def _binomials(M: int) -> np.ndarray:
+    """comb(c, j) as an int64 array indexed [j, c], for j <= MAX_ORDER and c < M."""
+    out = np.array([[comb(c, j) for c in range(M)] for j in range(MAX_ORDER + 1)], dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def _block_ranks(idx: np.ndarray, block: tuple[int, ...], M: int) -> np.ndarray:
     """Dense table offsets of {subset[pos] for pos in block} per subset row."""
-    cols = idx[:, list(block)]
-    rank = np.zeros(idx.shape[0], dtype=np.int64)
-    for j in range(len(block)):
-        rank += _comb_vec(cols[:, j], j + 1)
-    return rank + order_offset(M, len(block))
+    binom = _binomials(M)
+    rank = np.full(idx.shape[0], order_offset(M, len(block)), dtype=np.int64)
+    for j, pos in enumerate(block):
+        rank += binom[j + 1][idx[:, pos]]
+    return rank
+
+
+def _colex_chunks(M: int, d: int):
+    """Yield (colex start, rows) over all order-d subsets of range(M).
+
+    Each rows array holds up to _CHUNK_ROWS consecutive subsets in colex
+    order, one strictly increasing row per subset.
+    """
+    binom = _binomials(M)
+    n = comb(M, d)
+    for start in range(0, n, _CHUNK_ROWS):
+        rank = np.arange(start, min(start + _CHUNK_ROWS, n), dtype=np.int64)
+        rows = np.empty((rank.size, d), dtype=np.int64)
+        for j in range(d - 1, -1, -1):
+            # largest c with comb(c, j + 1) <= rank
+            rows[:, j] = np.searchsorted(binom[j + 1], rank, side="right") - 1
+            rank -= binom[j + 1][rows[:, j]]
+        yield start, rows
 
 
 def _partition_transform(table: SubsetTable, use_weights: bool, kind: str) -> SubsetTable:
@@ -189,14 +218,15 @@ def _partition_transform(table: SubsetTable, use_weights: bool, kind: str) -> Su
     out = np.empty_like(src)
     out[:M] = src[:M]
     for d in range(2, K + 1):
-        idx = np.array(list(combinations(range(M), d)), dtype=np.int64)
-        acc = np.zeros(idx.shape[0])
-        for pat in partition_patterns(d):
-            prod = np.ones(idx.shape[0])
-            for block in pat.blocks:
-                prod *= src[_block_ranks(idx, block, M)]
-            acc += (pat.weight if use_weights else 1.0) * prod
-        out[_block_ranks(idx, tuple(range(d)), M)] = acc
+        base = order_offset(M, d)
+        for start, rows in _colex_chunks(M, d):
+            acc = np.zeros(rows.shape[0])
+            for pat in partition_patterns(d):
+                prod = np.ones(rows.shape[0])
+                for block in pat.blocks:
+                    prod *= src[_block_ranks(rows, block, M)]
+                acc += (pat.weight if use_weights else 1.0) * prod
+            out[base + start : base + start + rows.shape[0]] = acc
     return SubsetTable(M=M, K=K, values=out, kind=kind)
 
 
@@ -270,6 +300,22 @@ def click_cumulant(inst: GaussianInstance, subset) -> float:
             prod *= moments_from_click_marginals(inst, tuple(subset[p] for p in block))
         total += pat.weight * prod
     return total
+
+
+def click_cumulants_from_cumulants(table: SubsetTable) -> np.ndarray:
+    """Joint cumulants of the 0/1 click variables, in the table's dense layout.
+
+    A click is (1 - parity)/2, so order 1 gives (1 - c(S))/2 and order
+    d >= 2 gives (-1/2)^d kappa(S).  Agrees with :func:`click_cumulant`.
+    """
+    if table.kind != "cumulant":
+        raise ValidationError("expected a cumulant table")
+    M = table.M
+    out = table.values.copy()
+    out[:M] = (1.0 - out[:M]) / 2.0
+    for d in range(2, table.K + 1):
+        out[order_offset(M, d) : order_offset(M, d + 1)] *= (-0.5) ** d
+    return out
 
 
 def save_table(table: SubsetTable, path) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -93,6 +93,8 @@ class SampleBatch:
     per_sample_mean: float = 0.0
     n_failed: int = 0
     n_flagged: int = 0
+    # "<exception type>: <message>" of each worker chunk that raised
+    worker_errors: list[str] = field(default_factory=list)
 
 
 def gamma(kappa: SubsetTable, subset, bits) -> float:
@@ -726,7 +728,7 @@ def batch_sample(
     bits = np.empty((config.N, M), dtype=np.uint8)
     aborted = np.zeros(config.N, dtype=bool)
     flagged = 0
-    failed = 0
+    worker_errors = []
     if config.N > 0:
         if config.workers <= 1:
             bits, flagged, aborted = _chunk_chain(kappa, config, 0, config.N)
@@ -746,8 +748,8 @@ def batch_sample(
                         bits[start : start + out.shape[0]] = out
                         flagged += fl
                         aborted[start : start + out.shape[0]] = ab
-                    except Exception:
-                        failed += e - s
+                    except Exception as exc:
+                        worker_errors.append(f"{type(exc).__name__}: {exc}")
                         aborted[s:e] = True
     keep = ~aborted
     bits = bits[keep]
@@ -757,7 +759,7 @@ def batch_sample(
         M=M, N=n_ok, bitstrings=bits, method=config.method, K=config.K,
         seed=config.seed, wall_time=wall,
         per_sample_mean=wall / max(n_ok, 1),
-        n_failed=int(config.N - n_ok), n_flagged=flagged,
+        n_failed=int(config.N - n_ok), n_flagged=flagged, worker_errors=worker_errors,
     )
 
 
@@ -782,8 +784,19 @@ def load_samples_text(path) -> SampleBatch:
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith(_TEXT_HEADER):
         raise ValidationError(f"{path} is not a samples file")
-    meta = dict(kv.split("=") for kv in text[0][len(_TEXT_HEADER) :].split())
-    M, N = int(meta["M"]), int(meta["N"])
+    meta = {}
+    for kv in text[0][len(_TEXT_HEADER) :].split():
+        key, sep, val = kv.partition("=")
+        if not sep:
+            raise ValidationError(f"{path}: header token {kv!r} is not key=value")
+        meta[key] = val
+    try:
+        M, N = int(meta["M"]), int(meta["N"])
+        K, seed = int(meta.get("K", 0)), int(meta.get("seed", 0))
+    except (KeyError, ValueError) as exc:
+        raise ValidationError(f"{path}: header needs integer M=, N=, K=, seed=: {exc}") from exc
+    if M < 1 or N < 0:
+        raise ValidationError(f"{path}: header has M={M}, N={N}")
     rows = [line for line in text[1:] if line]
     if len(rows) != N:
         raise ValidationError(f"{path}: expected {N} samples, found {len(rows)}")
@@ -793,8 +806,7 @@ def load_samples_text(path) -> SampleBatch:
             raise ValidationError(f"{path}: bad sample line {i + 1}")
         bits[i] = np.frombuffer(line.encode(), dtype=np.uint8) - ord("0")
     return SampleBatch(
-        M=M, N=N, bitstrings=bits, method=meta.get("method", "?"),
-        K=int(meta.get("K", 0)), seed=int(meta.get("seed", 0)),
+        M=M, N=N, bitstrings=bits, method=meta.get("method", "?"), K=K, seed=seed,
     )
 
 
@@ -812,10 +824,17 @@ def load_samples_packed(path) -> SampleBatch:
     data = Path(path).read_bytes()
     if data[:4] != _PACKED_MAGIC:
         raise ValidationError(f"{path} is not a packed samples file")
+    if len(data) < 20:
+        raise ValidationError(f"{path}: packed header truncated ({len(data)} of 20 bytes)")
     version, M, N = struct.unpack("<IIQ", data[4:20])
     if version != 1:
         raise ValidationError(f"unsupported packed samples version {version}")
     width = -(-M // 8)
+    if len(data) - 20 != N * width:
+        raise ValidationError(
+            f"{path}: expected {N * width} payload bytes for N={N}, M={M}, "
+            f"found {len(data) - 20}"
+        )
     body = np.frombuffer(data[20:], dtype=np.uint8).reshape(N, width)
     bits = np.unpackbits(body, axis=1, bitorder="little")[:, :M]
     return SampleBatch(M=int(M), N=int(N), bitstrings=bits, method="?", K=0, seed=0)

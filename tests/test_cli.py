@@ -123,6 +123,7 @@ def test_sample_roundtrip(tmp_path, capsys, instance_file, table_file):
     )
     assert code == 0
     assert man["n_generated"] == 500
+    assert man["n_failed"] == 0 and man["worker_errors"] == []
     assert man["throughput_per_s"] > 0
     batch = load_samples(out)
     assert batch.N == 500 and batch.M == 6
@@ -221,6 +222,35 @@ def test_benchmark_empty_samples(tmp_path, capsys, instance_file):
     code, _, _ = run_cli(capsys, "benchmark", "--samples", str(empty),
                          "--instance", str(instance_file), "--out", str(tmp_path / "rep"))
     assert code == 2
+
+
+def _packed_samples(path, n_rows=3, M=6, truncate=0):
+    from gbsemu.sampler import SampleBatch, save_samples_packed
+
+    bits = np.zeros((n_rows, M), dtype=np.uint8)
+    save_samples_packed(path, SampleBatch(M=M, N=n_rows, bitstrings=bits, method="x", K=0, seed=0))
+    if truncate:
+        path.write_bytes(path.read_bytes()[:-truncate])
+
+
+_MALFORMED_SAMPLES = {
+    "truncated_packed": lambda p: _packed_samples(p, truncate=1),
+    "short_packed_header": lambda p: p.write_bytes(b"GBSS" + b"\x01\x00\x00\x00"),
+    "header_token_without_equals":
+        lambda p: p.write_text("# gbs-samples v1 M=6 N=1 oops\n000000\n"),
+    "header_without_modes":
+        lambda p: p.write_text("# gbs-samples v1 N=1 method=x K=0 seed=0\n000000\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED_SAMPLES))
+def test_benchmark_malformed_samples_exit_2(tmp_path, capsys, instance_file, name):
+    bad = tmp_path / f"{name}.bin"
+    _MALFORMED_SAMPLES[name](bad)
+    code, _, err = run_cli(capsys, "benchmark", "--samples", str(bad),
+                           "--instance", str(instance_file), "--out", str(tmp_path / "rep"))
+    assert code == 2
+    assert str(bad) in err
 
 
 def test_benchmark_two_sample_files(tmp_path, capsys, instance_file):

@@ -5,8 +5,8 @@ import pytest
 
 from gbsemu import cumulants as cu
 from gbsemu import gaussian as g
-from gbsemu.errors import ResourceGuardError, ValidationError
-from gbsemu.subsets import table_size
+from gbsemu.errors import NumericalError, ResourceGuardError, ValidationError
+from gbsemu.subsets import subset_rank, table_size
 
 from oracles import correlator_from_dist
 
@@ -75,6 +75,51 @@ def test_table_worker_determinism(inst6):
 def test_memory_guard(inst6):
     with pytest.raises(ResourceGuardError):
         cu.correlator_table(inst6, K=4, mem_cap_bytes=16)
+
+
+def test_memory_guard_counts_p0_table(inst6):
+    # the kernel holds the correlator table and the P0 table of the same size
+    need = 8 * table_size(6, 4)
+    with pytest.raises(ResourceGuardError):
+        cu.correlator_table(inst6, K=4, mem_cap_bytes=2 * need - 1)
+    assert cu.correlator_table(inst6, K=4, mem_cap_bytes=2 * need).K == 4
+
+
+def test_table_matches_per_subset_calls_m9_k4():
+    inst, _ = g.random_instance(M=9, k=4, eta=0.6, r_max=1.0, seed=21)
+    ctab = cu.correlator_table(inst, K=4)
+    for d in range(1, 5):
+        for S in combinations(range(9), d):
+            assert ctab.values[subset_rank(S, 9, 4)] == cu.correlator(inst, S)
+
+
+def test_table_independent_of_chunk_size(monkeypatch):
+    inst, _ = g.random_instance(M=9, k=4, eta=0.6, r_max=1.0, seed=21)
+    ref = cu.correlator_table(inst, K=4)
+    kref = cu.cumulants_from_correlators(ref)
+    monkeypatch.setattr(cu, "_CHUNK_ROWS", 7)
+    small = cu.correlator_table(inst, K=4)
+    assert np.array_equal(small.values, ref.values)
+    assert np.array_equal(cu.cumulants_from_correlators(small).values, kref.values)
+
+
+def test_displaced_table_matches_per_subset_calls():
+    rng = np.random.default_rng(4)
+    base, _ = g.random_instance(M=6, k=3, eta=0.6, r_max=1.0, seed=3)
+    inst = g.GaussianInstance(sigma=base.sigma, mu=rng.normal(0.0, 0.7, 12), hbar=2.0)
+    ctab = cu.correlator_table(inst, K=4)
+    for d in range(1, 5):
+        for S in combinations(range(6), d):
+            assert abs(ctab.value(S) - cu.correlator(inst, S)) < 1e-12
+
+
+def test_table_rejects_nonpositive_determinant():
+    inst = g.vacuum_instance(3)
+    sigma = np.eye(6)
+    sigma[1, 1] = -3.0  # unphysical: (sigma_1 + hbar/2) has a negative determinant
+    object.__setattr__(inst, "sigma", sigma)
+    with pytest.raises(NumericalError):
+        cu.correlator_table(inst, K=2)
 
 
 # --- cumulant transforms --------------------------------------------------------------
@@ -200,6 +245,17 @@ def test_click_cumulant_order1_and_2(inst6):
     m01 = cu.moments_from_click_marginals(inst6, (0, 1))
     q1 = cu.moments_from_click_marginals(inst6, (1,))
     assert cu.click_cumulant(inst6, (0, 1)) == pytest.approx(m01 - q0 * q1, abs=1e-12)
+
+
+def test_click_cumulants_from_table_match_oracle():
+    M, K = 8, 4
+    inst, _ = g.random_instance(M=M, k=4, eta=0.6, r_max=1.0, seed=17)
+    click = cu.click_cumulants_from_cumulants(
+        cu.cumulants_from_correlators(cu.correlator_table(inst, K=K))
+    )
+    for d in range(1, K + 1):
+        for S in combinations(range(M), d):
+            assert abs(click[subset_rank(S, M, K)] - cu.click_cumulant(inst, S)) < 1e-12
 
 
 # --- binary container ------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,26 @@ def test_worker_count_invariance(lossy7):
     b1 = sp.batch_sample(sp.SamplerConfig(workers=1, **kw), kappa=ktab)
     b2 = sp.batch_sample(sp.SamplerConfig(workers=2, **kw), kappa=ktab)
     assert np.array_equal(b1.bitstrings, b2.bitstrings)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched chunk function reaches the workers only through fork",
+)
+def test_worker_error_message_recorded(lossy7, monkeypatch):
+    _, ktab = lossy7
+    original = sp._chunk_chain
+
+    def failing(kappa, config, start, stop):
+        if start == 0:
+            raise FloatingPointError(f"chunk {start}..{stop} overflowed")
+        return original(kappa, config, start, stop)
+
+    monkeypatch.setattr(sp, "_chunk_chain", failing)
+    cfg = sp.SamplerConfig(N=128, K=5, method="double_elision", seed=9, workers=2)
+    batch = sp.batch_sample(cfg, kappa=ktab)
+    assert batch.worker_errors == ["FloatingPointError: chunk 0..32 overflowed"]
+    assert batch.n_failed == 32 and batch.N == 96
 
 
 def test_batch_size_invariance(lossy7):
