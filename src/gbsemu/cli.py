@@ -96,14 +96,14 @@ def cmd_precompute(args) -> int:
         partition_patterns(d)
     t_phase1 = time.perf_counter() - t_phase1
     t_phase2 = time.perf_counter()
-    ctab = correlator_table(inst, args.order, workers=args.workers)
+    ctab = correlator_table(inst, args.order)
     ktab = cumulants_from_correlators(ctab)
     t_phase2 = time.perf_counter() - t_phase2
     out = Path(args.out)
     corr_out = out.with_suffix(".gbsc")
     save_table(ktab, out)
     save_table(ctab, corr_out)
-    cfg = {"instance": args.instance, "order": args.order, "workers": args.workers, "out": args.out}
+    cfg = {"instance": args.instance, "order": args.order, "out": args.out}
     _emit(
         _manifest(
             "precompute", cfg, [args.instance], [str(out), str(corr_out)], t0,
@@ -232,7 +232,7 @@ def cmd_scaling(args) -> int:
                 partition_patterns(d)
             t_phase1 = time.perf_counter() - t1
             t1 = time.perf_counter()
-            ctab = correlator_table(inst, K, workers=args.precompute_workers)
+            ctab = correlator_table(inst, K)
             ktab = cumulants_from_correlators(ctab)
             t_phase2 = time.perf_counter() - t1
             cfg = SamplerConfig(N=args.samples_per_point, K=K, method=method, seed=7)
@@ -265,7 +265,7 @@ def cmd_scaling(args) -> int:
         K = orders[0]
         method = "single_elision" if K <= 3 else "double_elision"
         inst, _ = random_instance(M, max(1, M // 4), 0.5, 1.0, seed=1234 + M)
-        ktab = cumulants_from_correlators(correlator_table(inst, K, workers=args.precompute_workers))
+        ktab = cumulants_from_correlators(correlator_table(inst, K))
         for w in worker_counts:
             cfg = SamplerConfig(N=args.samples_per_point, K=K, method=method, seed=7, workers=w)
             batch_sample(SamplerConfig(N=4, K=K, method=method, seed=7), kappa=ktab)
@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("precompute", help="write correlator and cumulant tables")
     p.add_argument("--instance", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility and ignored: precompute runs in one process")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_precompute)
 
@@ -343,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-per-point", dest="samples_per_point", type=int, default=16)
     p.add_argument("--workers", default=None, help="comma-separated worker counts for throughput")
     p.add_argument("--throughput-modes", dest="throughput_modes", type=int, default=64)
-    p.add_argument("--precompute-workers", dest="precompute_workers", type=int, default=1)
+    p.add_argument("--precompute-workers", dest="precompute_workers", type=int, default=1,
+                   help="accepted for compatibility and ignored: Phase II runs in one process")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scaling)
     return ap

@@ -102,45 +102,45 @@ def correlator(inst: GaussianInstance, subset) -> float:
 def correlator_table(
     inst: GaussianInstance,
     K: int,
-    workers: int = 1,
     mem_cap_bytes: int | None = None,
 ) -> SubsetTable:
     """Correlators of every subset of order 1..K.
 
     The no-click probability P0 of every subset is computed once, one
-    determinant each, into a table of the same layout, order by order;
-    each correlator then gathers the P0 values of its sub-subsets.  Every entry repeats
-    the arithmetic of :func:`correlator`, so the table is bit-identical to
-    per-subset calls.  ``workers`` is accepted for compatibility and
-    starts no processes.  Refuses when the correlator and P0 tables would
-    together exceed the memory cap (GBS_MEM_CAP_BYTES or 8 GiB).
+    determinant each, into the table itself, order by order.  Each order
+    is then turned into correlators in place, from K down to 1: a
+    correlator of order d gathers the P0 values of its sub-subsets, which
+    are of lower order (not yet converted) or its own slot.  Every entry
+    repeats the arithmetic of :func:`correlator`, so the table is
+    bit-identical to per-subset calls.  Refuses when the table would
+    exceed the memory cap (GBS_MEM_CAP_BYTES or 8 GiB).
     """
     M = inst.M
     if not 1 <= K <= min(MAX_ORDER, M):
         raise ValidationError(f"order K={K} invalid for M={M}")
     count = table_size(M, K)
     cap = _mem_cap(mem_cap_bytes)
-    need = 2 * 8 * count
-    if need > cap:
+    if 8 * count > cap:
         raise ResourceGuardError(
-            f"correlator and P0 tables need {need} bytes, cap is {cap}; "
+            f"correlator table needs {8 * count} bytes, cap is {cap}; "
             "raise GBS_MEM_CAP_BYTES to proceed"
         )
-    p0 = np.empty(count)
     values = np.empty(count)
     for d in range(1, K + 1):
         base = order_offset(M, d)
         for start, rows in _colex_chunks(M, d):
-            # sub-subsets of lower order are filled already; R = S is this chunk
-            span = slice(base + start, base + start + rows.shape[0])
-            p0[span] = _no_click_probabilities(inst, rows)
+            values[base + start : base + start + rows.shape[0]] = _no_click_probabilities(inst, rows)
+    for d in range(K, 0, -1):
+        base = order_offset(M, d)
+        for start, rows in _colex_chunks(M, d):
+            # every gather, own span included, happens before the span is overwritten
             total = np.ones(rows.shape[0])
             for r in range(1, d + 1):
                 ranks = np.stack(
                     [_block_ranks(rows, R, M) for R in combinations(range(d), r)], axis=1
                 )
-                total += (-2.0) ** r * p0[ranks].sum(axis=1)
-            values[span] = (-1.0) ** d * total
+                total += (-2.0) ** r * values[ranks].sum(axis=1)
+            values[base + start : base + start + rows.shape[0]] = (-1.0) ** d * total
     return SubsetTable(M=M, K=K, values=values, kind="correlator")
 
 

