@@ -28,7 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 5
-# (M, K, pairs); one parent run at M=48 K=5 takes about 6 minutes, so it gets two pairs
+# (M, K, pairs); a parent run at M=48 K=5 takes minutes, so that point gets two pairs
 POINTS = ((64, 3, PAIRS), (32, 5, PAIRS), (48, 5, 2), (128, 3, PAIRS))
 
 _CHILD = """
