@@ -196,10 +196,14 @@ def exact_total_clicks(inst: GaussianInstance, dist: np.ndarray | None = None) -
     M = inst.M
     if dist is None:
         dist = brute_force_distribution(inst)
-    out = np.zeros(M + 1)
-    for i, p in enumerate(dist):
-        out[bin(i).count("1")] += p
-    return out
+    if np.shape(dist) != (2**M,):
+        raise ValidationError(f"distribution must have 2^{M} entries, got shape {np.shape(dist)}")
+    index = np.arange(2**M)
+    clicks = np.zeros(2**M, dtype=np.int64)
+    for k in range(M):
+        clicks += (index >> k) & 1
+    # bincount adds in index order, as a loop over the outcomes would
+    return np.bincount(clicks, weights=dist, minlength=M + 1)
 
 
 def xeb(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,9 @@ UNCERTAINTY_TOL = 1e-8
 OVERLAP_EXCESS_TOL = 1e-9
 PROBABILITY_WINDOW = 1e-9
 BRUTE_FORCE_MAX_MODES = 20
+# Matrix entries per batched determinant call, and signed terms per gather,
+# in brute_force_distribution; bounds the oracle's scratch memory.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def symplectic_form(M: int) -> np.ndarray:
@@ -66,8 +70,10 @@ class GaussianInstance:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
             raise ValidationError(f"covariance must be 2M x 2M, got {sigma.shape}")
-        if self.hbar <= 0:
-            raise ValidationError("hbar must be positive")
+        if not np.isfinite(sigma).all():
+            raise ValidationError("covariance has non-finite entries")
+        if not 0 < self.hbar < np.inf:
+            raise ValidationError("hbar must be positive and finite")
         scale = max(1.0, float(np.abs(sigma).max()))
         if np.abs(sigma - sigma.T).max() > SYMMETRY_RTOL * scale:
             raise ValidationError("covariance is not symmetric")
@@ -77,6 +83,8 @@ class GaussianInstance:
         mu = np.zeros(2 * M) if mu is None else np.asarray(mu, dtype=float)
         if mu.shape != (2 * M,):
             raise ValidationError(f"mean vector must have length {2 * M}, got {mu.shape}")
+        if not np.isfinite(mu).all():
+            raise ValidationError("mean vector has non-finite entries")
         herm = sigma + 1j * (self.hbar / 2.0) * symplectic_form(M)
         lo = float(np.linalg.eigvalsh(herm).min())
         if lo < -UNCERTAINTY_TOL:
@@ -111,6 +119,8 @@ class JiuzhangSpec:
             raise ValidationError("squeezing parameters must be nonnegative")
         if T.ndim != 2 or T.shape[0] != 2 * r.size:
             raise ValidationError(f"transmission matrix must be 2k x M with k={r.size}")
+        if not (np.isfinite(r).all() and np.isfinite(T).all()):
+            raise ValidationError("squeezing parameters and transmission matrix must be finite")
         top = float(np.linalg.svd(T, compute_uv=False).max()) if T.size else 0.0
         if top > 1.0 + 1e-9:
             raise ValidationError(f"transmission exceeds unity: max singular value {top}")
@@ -343,24 +353,94 @@ def brute_force_distribution(inst: GaussianInstance) -> np.ndarray:
 
     Outcome index i has bit k = (i >> (M-1-k)) & 1, i.e. mode 0 is the
     most significant bit.  Guarded at M <= 20.
+
+    Every mode subset R is the click set of one outcome, so its term
+    1/sqrt(det(I - O_R)) is computed once, by batched determinants, and
+    stored at that outcome's index: 2^M determinants in all.  An outcome
+    with C clicks then gathers the 2^C terms of its clicked subsets and
+    adds them in the order :func:`torontonian` does (3^M terms over all
+    outcomes), so every entry is bit-identical to :func:`exact_probability`.
     """
     M = inst.M
     if M > BRUTE_FORCE_MAX_MODES:
         raise ResourceGuardError(f"brute force refused for M={M} > {BRUTE_FORCE_MAX_MODES}")
     form = husimi_form(inst)
+    if inst.is_displaced:
+        raise ValidationError("displaced instances are not supported by exact_probability")
+    mode_bit = 1 << np.arange(M - 1, -1, -1, dtype=np.int64)
+    terms = np.empty(2**M, dtype=complex)
     out = np.empty(2**M)
-    for i in range(2**M):
-        bits = [(i >> (M - 1 - k)) & 1 for k in range(M)]
-        out[i] = exact_probability(inst, bits, form=form)
+    for C in range(M + 1):
+        masks, signs = _torontonian_order(C)
+        subsets = np.array(list(combinations(range(M), C)), dtype=np.int64).reshape(comb(M, C), C)
+        step = max(1, _CHUNK_ENTRIES // max(4 * C * C, 2**C))
+        for start in range(0, subsets.shape[0], step):
+            rows = subsets[start : start + step]
+            bits = mode_bit[rows]
+            index = bits.sum(axis=1)
+            terms[index] = _inv_sqrt_dets(form.O, rows)
+            out[index] = _click_probabilities(terms, bits, masks, signs, form.sqrt_det)
     return out
 
 
-def outcome_index(bits) -> int:
-    """Lexicographic index of an outcome (mode 0 most significant)."""
-    idx = 0
-    for b in np.asarray(bits, dtype=int):
-        idx = (idx << 1) | int(b)
-    return idx
+def _torontonian_order(C: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subsets of C clicked modes in the order :func:`torontonian` adds them.
+
+    Returns each subset as a mask (bit j set for the j-th clicked mode) and
+    its sign (-1)^|R| as a complex number.
+    """
+    order = [R for size in range(C + 1) for R in combinations(range(C), size)]
+    masks = np.array([sum(1 << j for j in R) for R in order], dtype=np.int64)
+    signs = np.array([(-1) ** len(R) for R in order], dtype=complex)
+    return masks, signs
+
+
+def _inv_sqrt_dets(O: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`_inv_sqrt_det` of I - O_R for each subset row R, batched."""
+    n = rows.shape[1]
+    if n == 0:
+        return np.ones(rows.shape[0], dtype=complex)
+    M = O.shape[0] // 2
+    idx = np.concatenate([rows, rows + M], axis=1)
+    sign, logdet = np.linalg.slogdet(np.eye(2 * n) - O[idx[:, :, None], idx[:, None, :]])
+    bad = (sign == 0) | ~np.isfinite(logdet)
+    if bad.any():
+        modes = tuple(int(k) for k in rows[np.argmax(bad)])
+        raise NumericalError(f"singular matrix in subset-determinant sum (modes {modes})")
+    ang = np.angle(sign)
+    bad = np.abs(ang) >= np.pi / 2
+    if bad.any():
+        t = int(np.argmax(bad))
+        modes = tuple(int(k) for k in rows[t])
+        raise NumericalError(f"determinant real part nonpositive (arg {ang[t]:.3f}, modes {modes})")
+    return np.exp(-0.5 * logdet) * np.exp(-0.5j * ang)
+
+
+def _click_probabilities(
+    terms: np.ndarray, bits: np.ndarray, masks: np.ndarray, signs: np.ndarray, sqrt_det: float
+) -> np.ndarray:
+    """:func:`exact_probability` of each outcome row, from the subset terms.
+
+    bits[i, j] is the outcome-index bit of the j-th clicked mode of outcome
+    i.  The signed terms are added left to right in :func:`torontonian`'s
+    order.  Real and imaginary parts are divided separately, as Python's
+    complex-by-float division does; numpy's complex division multiplies by
+    a reciprocal, which can change the last bit.
+    """
+    index = np.zeros((bits.shape[0], 1), dtype=np.int64)
+    for j in range(bits.shape[1]):
+        index = np.concatenate([index, index + bits[:, j : j + 1]], axis=1)
+    total = np.add.accumulate(signs * terms[index[:, masks]], axis=1)[:, -1]
+    val = (-1) ** bits.shape[1] * total
+    p = val.real / sqrt_det
+    imag = val.imag / sqrt_det
+    bad = np.abs(imag) > PROBABILITY_WINDOW
+    if bad.any():
+        raise NumericalError(f"probability has imaginary residue {imag[np.argmax(bad)]:.3e}")
+    bad = (p < -PROBABILITY_WINDOW) | (p > 1.0 + PROBABILITY_WINDOW)
+    if bad.any():
+        raise NumericalError(f"probability {p[np.argmax(bad)]} outside [0, 1] window")
+    return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
 def random_instance(

@@ -418,23 +418,6 @@ class MarginalTables:
             self.advance(n, bits_n, q0)
 
 
-# module-level wrappers matching the operation names
-def step_probability_zero(tables: MarginalTables, n: int) -> np.ndarray:
-    return tables.step_probability_zero(n)
-
-
-def update_p_plus(tables: MarginalTables, n: int) -> None:
-    tables.update_p_plus(n)
-
-
-def update_p1(tables: MarginalTables, n: int) -> None:
-    tables.update_p1(n)
-
-
-def update_p2(tables: MarginalTables, n: int) -> None:
-    tables.update_p2(n)
-
-
 # ---------------------------------------------------------------------------
 # Generic scalar engine (arbitrary expansion orders; cross-check oracle)
 # ---------------------------------------------------------------------------
@@ -772,12 +755,17 @@ _PACKED_MAGIC = b"GBSS"
 
 
 def save_samples_text(path, batch: SampleBatch) -> None:
-    lines = [
+    header = (
         f"{_TEXT_HEADER} M={batch.M} N={batch.N} method={batch.method} "
-        f"K={batch.K} seed={batch.seed}"
-    ]
-    lines.extend("".join("1" if b else "0" for b in row) for row in batch.bitstrings)
-    Path(path).write_text("\n".join(lines) + "\n")
+        f"K={batch.K} seed={batch.seed}\n"
+    )
+    bits = batch.bitstrings
+    body = np.full((bits.shape[0], bits.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    body[:, :-1] = bits != 0
+    body[:, :-1] += ord("0")
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(body)
 
 
 def load_samples_text(path) -> SampleBatch:
@@ -800,11 +788,18 @@ def load_samples_text(path) -> SampleBatch:
     rows = [line for line in text[1:] if line]
     if len(rows) != N:
         raise ValidationError(f"{path}: expected {N} samples, found {len(rows)}")
-    bits = np.empty((N, M), dtype=np.uint8)
-    for i, line in enumerate(rows):
-        if len(line) != M or set(line) - {"0", "1"}:
-            raise ValidationError(f"{path}: bad sample line {i + 1}")
-        bits[i] = np.frombuffer(line.encode(), dtype=np.uint8) - ord("0")
+    # rows before the first one of the wrong length are parsed in one piece;
+    # latin-1 with replacement keeps one byte per character
+    wrong_length = np.fromiter(map(len, rows), dtype=np.int64, count=N) != M
+    n_ok = int(np.argmax(wrong_length)) if wrong_length.any() else N
+    chars = np.frombuffer(
+        "".join(rows[:n_ok]).encode("latin-1", "replace"), dtype=np.uint8
+    ).reshape(n_ok, M)
+    bits = chars - ord("0")  # uint8: every character but 0 and 1 maps above 1
+    bad = (bits > 1).any(axis=1)
+    if bad.any() or n_ok < N:
+        i = int(np.argmax(bad)) if bad.any() else n_ok
+        raise ValidationError(f"{path}: bad sample line {i + 1}")
     return SampleBatch(
         M=M, N=N, bitstrings=bits, method=meta.get("method", "?"), K=K, seed=seed,
     )

@@ -11,7 +11,6 @@ both properties are relied on heavily by the sampler's inner loops.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -139,8 +138,3 @@ def _partitions(items: tuple[int, ...]):
         # first joined to each existing block
         for k, block in enumerate(sub):
             yield sub[:k] + ((first,) + block,) + sub[k + 1 :]
-
-
-def subsets_of(seq, r: int):
-    """Strictly increasing r-subsets of a sorted index sequence."""
-    return itertools.combinations(seq, r)

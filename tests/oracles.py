@@ -8,6 +8,18 @@ from itertools import combinations
 
 import numpy as np
 
+from gbsemu import gaussian as g
+
+
+def per_outcome_distribution(inst) -> np.ndarray:
+    """All 2^M outcome probabilities, one exact_probability call per outcome."""
+    M = inst.M
+    form = g.husimi_form(inst)
+    return np.array([
+        g.exact_probability(inst, [(i >> (M - 1 - k)) & 1 for k in range(M)], form=form)
+        for i in range(2**M)
+    ])
+
 
 def exact_marginal(dist: np.ndarray, M: int, kept, bits) -> float:
     """Probability that the modes in `kept` equal the given realized bits."""

@@ -67,6 +67,44 @@ def test_precompute(tmp_path, capsys, instance_file):
     assert ctab.kind == "correlator"
 
 
+def _set_first(payload, key, value):
+    payload[key][0][0] = value
+
+
+_NON_FINITE_INSTANCES = {
+    "nan_sigma": lambda p: _set_first(p, "sigma", float("nan")),
+    "inf_sigma": lambda p: _set_first(p, "sigma", float("inf")),
+    "nan_mu": lambda p: p.update(mu=[float("nan")] + [0.0] * (2 * p["M"] - 1)),
+    "nan_hbar": lambda p: p.update(hbar=float("nan")),
+    "inf_hbar": lambda p: p.update(hbar=float("inf")),
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_FINITE_INSTANCES))
+def test_precompute_non_finite_instance_exit_2(tmp_path, capsys, name):
+    inst, _ = g.random_instance(4, 2, eta=0.5, r_max=1.0, seed=1)
+    payload = {"hbar": inst.hbar, "M": inst.M, "sigma": inst.sigma.tolist()}
+    _NON_FINITE_INSTANCES[name](payload)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "precompute", "--instance", str(path),
+                           "--order", "2", "--out", str(tmp_path / "t.gbsk"))
+    assert code == 2
+    assert "finite" in err
+    assert not (tmp_path / "t.gbsk").exists()
+
+
+def test_precompute_non_finite_transmission_exit_2(tmp_path, capsys, instance_file):
+    payload = json.loads(instance_file.read_text())
+    payload["T_re"][0][0] = float("nan")
+    path = tmp_path / "nan_t.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "precompute", "--instance", str(path),
+                           "--order", "2", "--out", str(tmp_path / "t.gbsk"))
+    assert code == 2
+    assert "finite" in err
+
+
 def test_precompute_count_field(tmp_path, capsys):
     inst_path = tmp_path / "i.json"
     run_cli(capsys, "gen-instance", "--modes", "10", "--squeezers", "5",

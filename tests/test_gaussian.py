@@ -6,7 +6,7 @@ import pytest
 from gbsemu import gaussian as g
 from gbsemu.errors import NumericalError, ResourceGuardError, ValidationError
 
-from oracles import exact_marginal
+from oracles import exact_marginal, per_outcome_distribution
 
 HBAR = 2.0
 
@@ -238,6 +238,42 @@ def test_brute_force_matches_pointwise(inst6):
     for i in (0, 5, 21, 63):
         bits = [(i >> (5 - k)) & 1 for k in range(6)]
         assert dist[i] == g.exact_probability(inst6, bits, form=form)
+
+
+@pytest.fixture(scope="module")
+def per_outcome10():
+    inst, _ = g.random_instance(10, 4, eta=0.6, r_max=1.2, seed=17)
+    return inst, per_outcome_distribution(inst)
+
+
+def test_brute_force_equals_per_outcome_m10(per_outcome10):
+    inst, expect = per_outcome10
+    assert np.array_equal(g.brute_force_distribution(inst), expect)
+
+
+def test_brute_force_independent_of_chunk_size(per_outcome10, monkeypatch):
+    inst, expect = per_outcome10
+    monkeypatch.setattr(g, "_CHUNK_ENTRIES", 7)
+    assert np.array_equal(g.brute_force_distribution(inst), expect)
+
+
+@pytest.mark.parametrize("entry, value", [((0, 1), 1.0), ((0, 0), 2.0)])
+def test_brute_force_rejects_bad_determinant(monkeypatch, entry, value):
+    # O = 0 apart from the x-block entries set here: I - O_R is singular for
+    # R = {0, 1} (O[0, 1] = O[1, 0] = 1), or has determinant -1 for R = {0}
+    # and {0, 1} (O[0, 0] = 2); every other subset is regular
+    O = np.zeros((4, 4), dtype=complex)
+    O[entry] = O[entry[::-1]] = value
+    form = g.HusimiForm(Sigma=np.eye(4), O=O, det_sigma=1.0 + 0.0j, sqrt_det=1.0)
+    monkeypatch.setattr(g, "husimi_form", lambda inst: form)
+    with pytest.raises(NumericalError):
+        g.brute_force_distribution(g.vacuum_instance(2))
+
+
+def test_brute_force_rejects_displaced():
+    inst = g.GaussianInstance(sigma=np.eye(4), mu=[0.5, 0.0, 0.0, 0.0], hbar=HBAR)
+    with pytest.raises(ValidationError):
+        g.brute_force_distribution(inst)
 
 
 def test_brute_force_guard():

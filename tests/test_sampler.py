@@ -9,7 +9,7 @@ from gbsemu import gaussian as g
 from gbsemu import sampler as sp
 from gbsemu.errors import ResourceGuardError, ValidationError
 
-from oracles import exact_marginal, product_law
+from oracles import exact_marginal, per_outcome_distribution, product_law
 
 
 def make_tables(inst, K):
@@ -65,7 +65,7 @@ def test_step_zero_vacuum():
     cfg = sp.SamplerConfig(N=0, K=3, method="double_elision")
     tables = sp.MarginalTables(ktab, cfg, batch=1)
     for n in range(4):
-        p0 = sp.step_probability_zero(tables, n)
+        p0 = tables.step_probability_zero(n)
         assert p0[0] == pytest.approx(tables.pref[n][0])
         tables.advance(n, np.zeros(1, dtype=np.uint8), p0 / tables.pref[n])
 
@@ -76,7 +76,7 @@ def test_step_zero_independent_modes(independent6):
     tables = sp.MarginalTables(ktab, cfg, batch=1)
     rng = np.random.default_rng(1)
     for n in range(6):
-        p0 = sp.step_probability_zero(tables, n)
+        p0 = tables.step_probability_zero(n)
         expect = 0.5 * (1 + ktab.value((n,))) * tables.pref[n][0]
         assert p0[0] == pytest.approx(expect, abs=1e-12)
         q0 = p0 / tables.pref[n]
@@ -257,6 +257,17 @@ def test_exact_reference_sampler(lossy5):
     assert np.array_equal(batch.bitstrings, again.bitstrings)
 
 
+def test_exact_reference_sampler_inverts_per_outcome_cdf():
+    inst, _ = g.random_instance(M=8, k=3, eta=0.7, r_max=1.0, seed=19)
+    cfg = sp.SamplerConfig(N=5000, method="exact_reference", seed=6)
+    cdf = np.cumsum(per_outcome_distribution(inst))
+    cdf[-1] = 1.0
+    u = sp._stream_uniforms(cfg.seed, 0, cfg.N, 1)[:, 0]
+    codes = np.minimum(np.searchsorted(cdf, u, side="right"), 2**8 - 1)
+    expect = (codes[:, None] >> np.arange(7, -1, -1)) & 1
+    assert np.array_equal(sp.exact_reference_sampler(inst, cfg).bitstrings, expect)
+
+
 def test_exact_reference_vacuum_and_guard():
     cfg = sp.SamplerConfig(N=10, method="exact_reference", seed=0)
     batch = sp.exact_reference_sampler(g.vacuum_instance(4), cfg)
@@ -391,6 +402,28 @@ def test_samples_bad_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a samples file\n")
     with pytest.raises(ValidationError):
+        sp.load_samples(path)
+
+
+def test_samples_text_bytes(tmp_path):
+    bits = np.array([[0, 1, 0], [1, 1, 2]], dtype=np.uint8)
+    batch = sp.SampleBatch(M=3, N=2, bitstrings=bits, method="x", K=4, seed=9)
+    path = tmp_path / "s.txt"
+    sp.save_samples_text(path, batch)
+    assert path.read_bytes() == b"# gbs-samples v1 M=3 N=2 method=x K=4 seed=9\n010\n111\n"
+
+
+@pytest.mark.parametrize("body, line", [
+    ("010\n01\n111\n", 2),
+    ("010\n0a1\n111\n", 2),
+    ("0x0\n01\n111\n", 1),
+    ("010\n\n011\n11\n", 3),
+    ("010\n011\n1\u00e91\n", 3),
+])
+def test_samples_text_bad_line_number(tmp_path, body, line):
+    path = tmp_path / "bad.txt"
+    path.write_text("# gbs-samples v1 M=3 N=3 method=x K=0 seed=0\n" + body)
+    with pytest.raises(ValidationError, match=f"bad sample line {line}$"):
         sp.load_samples(path)
 
 
