@@ -24,6 +24,7 @@ from .cumulants import (
     correlators_from_cumulants,
     cumulant_recursion_residual,
     cumulants_from_correlators,
+    empirical_correlator_table,
     load_table,
     moments_from_click_marginals,
     save_table,

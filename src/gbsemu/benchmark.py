@@ -21,21 +21,13 @@ from .cumulants import (
     click_cumulants_from_cumulants,
     correlator_table,
     cumulants_from_correlators,
+    empirical_correlator_table,
 )
 from .errors import ValidationError
 from .gaussian import GaussianInstance, brute_force_distribution
-from .subsets import partition_patterns, subset_rank
+from .subsets import subset_rank
 
-CUMULANT_MAX_ORDER = 6
 DEFAULT_BOOTSTRAP = 100
-
-
-@dataclass(frozen=True)
-class CumulantEstimate:
-    subset: tuple[int, ...]
-    value: float
-    order: int
-    n_samples: int
 
 
 @dataclass
@@ -49,8 +41,6 @@ class BenchmarkReport:
     xeb: list[dict] = field(default_factory=list)
     clicks: list[dict] = field(default_factory=list)
     tvd: float | None = None
-    tvd_baseline: float | None = None
-    bootstrap_resamples: int = DEFAULT_BOOTSTRAP
     notes: list[str] = field(default_factory=list)
     # natural log is used in all XEB scores
     log_base: str = "e"
@@ -63,6 +53,15 @@ def _as_samples(samples) -> np.ndarray:
     return arr
 
 
+def _outcome_codes(arr: np.ndarray) -> np.ndarray:
+    """Lexicographic outcome index of each 0/1 row, mode 0 the most significant bit."""
+    codes = np.zeros(arr.shape[0], dtype=np.int64)
+    for column in arr.T:
+        codes <<= 1
+        codes |= column
+    return codes
+
+
 def estimate_correlator(samples, subset) -> float:
     """Sample mean of the parity over a subset of modes."""
     arr = _as_samples(samples)
@@ -73,64 +72,20 @@ def estimate_correlator(samples, subset) -> float:
     return float(par.mean())
 
 
-def _joint_moment(arr: np.ndarray, subset) -> float:
-    """Sample mean of the product of 0/1 click variables."""
-    return float(arr[:, list(subset)].all(axis=1).mean())
+def estimate_click_cumulants(samples, K: int) -> np.ndarray:
+    """Plug-in joint cumulants of the click variables, orders 1..K.
 
-
-def estimate_click_cumulants(
-    samples,
-    K: int,
-    mode: str = "plugin",
-    orders=None,
-    sample_fractions: dict[int, float] | None = None,
-    seed: int = 0,
-) -> list[CumulantEstimate]:
-    """Joint cumulants of the click variables up to order K.
-
-    The plug-in form replaces each joint moment by its sample mean inside
-    the partition sum; its bias is O(1/N).  ``sample_fractions`` maps an
-    order to the fraction of its subsets to estimate (seeded choice),
-    which keeps high orders affordable.  The finite-sample weight
-    correction ("corrected" mode) is intentionally unavailable: its
-    weights are defined in external statistics literature and are not
-    reproduced here.
+    The empirical parity correlators go through the same transform as the
+    theory column, so the result is the joint cumulants of the empirical
+    distribution (bias O(1/N)), in the dense subset layout of
+    :mod:`gbsemu.subsets`.
     """
-    if mode == "corrected":
-        raise NotImplementedError(
-            "finite-sample weight correction not bundled; use mode='plugin'"
-        )
-    if mode != "plugin":
-        raise ValidationError(f"unknown estimator mode {mode!r}")
-    if K > CUMULANT_MAX_ORDER:
-        raise ValidationError(f"cumulant order {K} above limit {CUMULANT_MAX_ORDER}")
     arr = _as_samples(samples)
-    N, M = arr.shape
-    if N < 2:
+    if arr.shape[0] < 2:
         raise ValidationError("need at least two samples")
-    rng = np.random.default_rng(seed)
-    out = []
-    for d in orders or range(1, K + 1):
-        subsets = list(combinations(range(M), d))
-        frac = (sample_fractions or {}).get(d)
-        if frac is not None and frac < 1.0:
-            take = max(1, int(len(subsets) * frac))
-            sel = rng.choice(len(subsets), size=take, replace=False)
-            subsets = [subsets[i] for i in sorted(sel)]
-        pats = partition_patterns(d)
-        for S in subsets:
-            moments = {}
-            total = 0.0
-            for pat in pats:
-                prod = 1.0
-                for block in pat.blocks:
-                    key = tuple(S[p] for p in block)
-                    if key not in moments:
-                        moments[key] = _joint_moment(arr, key)
-                    prod *= moments[key]
-                total += pat.weight * prod
-            out.append(CumulantEstimate(subset=S, value=total, order=d, n_samples=N))
-    return out
+    return click_cumulants_from_cumulants(
+        cumulants_from_correlators(empirical_correlator_table(arr, K))
+    )
 
 
 def pearson(xs, ys) -> float:
@@ -198,10 +153,9 @@ def exact_total_clicks(inst: GaussianInstance, dist: np.ndarray | None = None) -
         dist = brute_force_distribution(inst)
     if np.shape(dist) != (2**M,):
         raise ValidationError(f"distribution must have 2^{M} entries, got shape {np.shape(dist)}")
-    index = np.arange(2**M)
-    clicks = np.zeros(2**M, dtype=np.int64)
-    for k in range(M):
-        clicks += (index >> k) & 1
+    # click count of each outcome: the set bits of its index's 4 bytes
+    index_bytes = np.arange(2**M, dtype=">u4").view(np.uint8).reshape(2**M, 4)
+    clicks = np.unpackbits(index_bytes, axis=1).sum(axis=1, dtype=np.int64)
     # bincount adds in index order, as a loop over the outcomes would
     return np.bincount(clicks, weights=dist, minlength=M + 1)
 
@@ -225,9 +179,7 @@ def xeb(
         dist = brute_force_distribution(inst)
     pC = exact_total_clicks(inst, dist)
     weights = arr.sum(axis=1, dtype=np.int64)
-    codes = np.zeros(arr.shape[0], dtype=np.int64)
-    for k in range(M):
-        codes = (codes << 1) | arr[:, k].astype(np.int64)
+    codes = _outcome_codes(arr)
     out = []
     crange = range(M + 1) if c_range is None else c_range
     for C in crange:
@@ -278,10 +230,7 @@ def tvd(p, q) -> float:
 def empirical_distribution(samples, M: int) -> np.ndarray:
     """Outcome frequencies over all 2^M lexicographic codes."""
     arr = _as_samples(samples)
-    codes = np.zeros(arr.shape[0], dtype=np.int64)
-    for k in range(M):
-        codes = (codes << 1) | arr[:, k].astype(np.int64)
-    return np.bincount(codes, minlength=2**M) / max(arr.shape[0], 1)
+    return np.bincount(_outcome_codes(arr[:, :M]), minlength=2**M) / max(arr.shape[0], 1)
 
 
 def bootstrap(statistic, samples, B: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> tuple[float, float]:
@@ -303,45 +252,29 @@ def bootstrap(statistic, samples, B: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> 
 # ---------------------------------------------------------------------------
 
 
-def cumulant_comparison(
-    inst: GaussianInstance,
-    samples,
-    orders,
-    bootstrap_B: int = DEFAULT_BOOTSTRAP,
-    seed: int = 0,
-    sample_fractions: dict[int, float] | None = None,
-    with_se: bool = False,
-):
+def cumulant_comparison(inst: GaussianInstance, samples, orders):
     """Rows of (subset, order, theory, estimate, se) for the scatter data.
 
-    The theory column comes from one correlator table up to the highest
-    order, through the cumulant transform.
+    Both columns come from subset tables up to the highest order, through
+    the same cumulant transform: the theory column from the correlator
+    table of the instance, the estimate column from the empirical one.
+    The bootstrap is not run, so se is 0.  Rows run order by order, each
+    in lexicographic subset order.
     """
     arr = _as_samples(samples)
-    rows = []
+    if arr.shape[1] != inst.M:
+        raise ValidationError(f"samples M={arr.shape[1]} does not match instance M={inst.M}")
     if not orders:
-        return rows
+        return []
     K = max(orders)
-    click = click_cumulants_from_cumulants(cumulants_from_correlators(correlator_table(inst, K)))
+    theory = click_cumulants_from_cumulants(cumulants_from_correlators(correlator_table(inst, K)))
+    estimate = estimate_click_cumulants(arr, K)
+    rows = []
     for d in orders:
-        ests = estimate_click_cumulants(
-            arr, K=d, orders=[d], sample_fractions=sample_fractions, seed=seed
-        )
-        for est in ests:
-            theory = float(click[subset_rank(est.subset, inst.M, K)])
-            se = 0.0
-            if with_se:
-                cols = list(est.subset)
-                sub = arr[:, cols]
-
-                def stat(rows_):
-                    return estimate_click_cumulants(rows_, K=d, orders=[d])[0].value
-
-                _, se = bootstrap(stat, sub, B=bootstrap_B, seed=seed)
-            rows.append(
-                {"subset": est.subset, "order": d, "theory": theory,
-                 "estimate": est.value, "se": se}
-            )
+        for S in combinations(range(inst.M), d):
+            i = subset_rank(S, inst.M, K)
+            rows.append({"subset": S, "order": d, "theory": float(theory[i]),
+                         "estimate": float(estimate[i]), "se": 0.0})
     return rows
 
 
@@ -350,18 +283,12 @@ def build_report(
     samples,
     orders=(2, 3),
     xeb_range=None,
-    bootstrap_B: int = DEFAULT_BOOTSTRAP,
-    seed: int = 0,
     max_exact_modes: int = 20,
-    sample_fractions: dict[int, float] | None = None,
 ) -> tuple[BenchmarkReport, list[dict]]:
     """Full comparison suite; XEB/TVD are skipped (with a note) beyond desk scale."""
     arr = _as_samples(samples)
-    report = BenchmarkReport(bootstrap_resamples=bootstrap_B)
-    scatter = cumulant_comparison(
-        inst, arr, orders, bootstrap_B=bootstrap_B, seed=seed,
-        sample_fractions=sample_fractions,
-    )
+    report = BenchmarkReport()
+    scatter = cumulant_comparison(inst, arr, orders)
     for d in orders:
         theory = [r["theory"] for r in scatter if r["order"] == d]
         est = [r["estimate"] for r in scatter if r["order"] == d]
@@ -425,8 +352,6 @@ def write_report(outdir, report: BenchmarkReport, scatter: list[dict]) -> list[s
         "slope": report.slope,
         "intercept": report.intercept,
         "tvd": report.tvd,
-        "tvd_baseline": report.tvd_baseline,
-        "bootstrap_resamples": report.bootstrap_resamples,
         "log_base": report.log_base,
         "notes": report.notes,
     }

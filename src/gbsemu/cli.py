@@ -182,10 +182,7 @@ def cmd_benchmark(args) -> int:
             raise ValidationError(
                 f"samples M={batch.M} does not match instance M={inst.M}"
             )
-        report, scatter = build_report(
-            inst, batch.bitstrings, orders=orders, xeb_range=xeb_range,
-            bootstrap_B=args.bootstrap, seed=args.seed,
-        )
+        report, scatter = build_report(inst, batch.bitstrings, orders=orders, xeb_range=xeb_range)
         outdir = Path(args.out) / Path(sample_path).stem
         outputs.extend(write_report(outdir, report, scatter))
         summaries[str(sample_path)] = {
@@ -194,8 +191,7 @@ def cmd_benchmark(args) -> int:
         }
     cfg = {
         "samples": list(args.samples), "instance": args.instance,
-        "orders": orders, "xeb_range": args.xeb_range,
-        "bootstrap": args.bootstrap, "out": args.out, "seed": args.seed,
+        "orders": orders, "xeb_range": args.xeb_range, "out": args.out,
     }
     _emit(
         _manifest(
@@ -348,8 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--orders", default="2,3")
     p.add_argument("--xeb-range", dest="xeb_range", default=None)
-    p.add_argument("--bootstrap", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bootstrap", type=int, default=100,
+                   help="accepted for compatibility and ignored: no bootstrap runs, se is 0")
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility and ignored: the report is deterministic")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_benchmark)
 

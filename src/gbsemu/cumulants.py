@@ -2,10 +2,10 @@
 
 The correlator of a subset is the expectation of its parity; it is
 computed from the covariance matrix as an alternating sum over
-sub-subsets of vacuum overlaps.  Cumulants are the partition-weighted
-transform of correlators.  Both live in dense arrays indexed by the
-order-then-colex layout of :mod:`gbsemu.subsets`, which the sampler
-reads directly.
+sub-subsets of vacuum overlaps, or estimated as a sample mean.
+Cumulants are the partition-weighted transform of correlators.  Both
+live in dense arrays indexed by the order-then-colex layout of
+:mod:`gbsemu.subsets`, which the sampler reads directly.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ DEFAULT_MEM_CAP_BYTES = 8 << 30
 MOMENT_MAX_ORDER = 12
 # Subsets per batched determinant / gather step; bounds the kernel's scratch memory.
 _CHUNK_ROWS = 4096
+# Bytes of packed parity bits per chunk of the empirical kernel, whatever N is.
+_PACKED_CHUNK_BYTES = 1 << 20
+# Set bits of every byte value.
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 _MAGIC = {"correlator": b"GBSC", "cumulant": b"GBSK"}
 _FILE_VERSION = 1
@@ -144,6 +148,36 @@ def correlator_table(
     return SubsetTable(M=M, K=K, values=values, kind="correlator")
 
 
+def empirical_correlator_table(samples, K: int) -> SubsetTable:
+    """Sample-mean parity of every subset of order 1..K of an (N, M) 0/1 array.
+
+    Each entry is (N - 2*odd)/N, odd being the number of samples with an
+    odd click count on the subset, so it equals
+    :func:`gbsemu.benchmark.estimate_correlator`.  The mode columns are
+    bit-packed along the samples; a subset's parities are the XOR of its
+    columns, counted with a byte popcount table.  Chunks hold at most
+    _PACKED_CHUNK_BYTES of packed bits.
+    """
+    arr = np.asarray(samples, dtype=np.uint8)
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise ValidationError("samples must be a non-empty 2-D (N, M) bit array")
+    N, M = arr.shape
+    if not 1 <= K <= min(MAX_ORDER, M):
+        raise ValidationError(f"order K={K} invalid for M={M}")
+    packed = np.packbits(arr.T, axis=1)  # padding bits are 0 in every column
+    rows_cap = max(1, min(_CHUNK_ROWS, _PACKED_CHUNK_BYTES // packed.shape[1]))
+    values = np.empty(table_size(M, K))
+    for d in range(1, K + 1):
+        base = order_offset(M, d)
+        for start, rows in _colex_chunks(M, d, rows_cap):
+            bits = packed[rows[:, 0]]
+            for j in range(1, d):
+                bits ^= packed[rows[:, j]]
+            odd = _BYTE_POPCOUNT[bits].sum(axis=1, dtype=np.int64)
+            values[base + start : base + start + rows.shape[0]] = (N - 2 * odd) / N
+    return SubsetTable(M=M, K=K, values=values, kind="correlator")
+
+
 def _no_click_probabilities(inst: GaussianInstance, rows: np.ndarray) -> np.ndarray:
     """Vacuum overlap of the reduced state on each subset row.
 
@@ -194,16 +228,18 @@ def _block_ranks(idx: np.ndarray, block: tuple[int, ...], M: int) -> np.ndarray:
     return rank
 
 
-def _colex_chunks(M: int, d: int):
+def _colex_chunks(M: int, d: int, chunk_rows: int | None = None):
     """Yield (colex start, rows) over all order-d subsets of range(M).
 
-    Each rows array holds up to _CHUNK_ROWS consecutive subsets in colex
-    order, one strictly increasing row per subset.
+    Each rows array holds up to chunk_rows (default _CHUNK_ROWS)
+    consecutive subsets in colex order, one strictly increasing row per
+    subset.
     """
     binom = _binomials(M)
     n = comb(M, d)
-    for start in range(0, n, _CHUNK_ROWS):
-        rank = np.arange(start, min(start + _CHUNK_ROWS, n), dtype=np.int64)
+    chunk_rows = chunk_rows or _CHUNK_ROWS
+    for start in range(0, n, chunk_rows):
+        rank = np.arange(start, min(start + chunk_rows, n), dtype=np.int64)
         rows = np.empty((rank.size, d), dtype=np.int64)
         for j in range(d - 1, -1, -1):
             # largest c with comb(c, j + 1) <= rank

@@ -769,8 +769,11 @@ def save_samples_text(path, batch: SampleBatch) -> None:
 
 
 def load_samples_text(path) -> SampleBatch:
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith(_TEXT_HEADER):
+    # a byte that is not UTF-8 decodes to one lone surrogate character, which
+    # fails the header check or the 0/1 check of its sample line
+    text = Path(path).read_bytes().decode("utf-8", "surrogateescape").splitlines()
+    if (not text or not text[0].startswith(_TEXT_HEADER)
+            or any("\udc80" <= ch <= "\udcff" for ch in text[0])):
         raise ValidationError(f"{path} is not a samples file")
     meta = {}
     for kv in text[0][len(_TEXT_HEADER) :].split():

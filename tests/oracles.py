@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from gbsemu import gaussian as g
+from gbsemu.subsets import partition_patterns
 
 
 def per_outcome_distribution(inst) -> np.ndarray:
@@ -41,6 +42,22 @@ def correlator_from_dist(dist: np.ndarray, M: int, subset) -> float:
     for i in range(2**M):
         bits = [(i >> (M - 1 - k)) & 1 for k in range(M)]
         total += parity(bits, subset) * dist[i]
+    return total
+
+
+def plugin_click_cumulant(samples, subset) -> float:
+    """Plug-in joint cumulant of the click variables on one subset.
+
+    The partition sum of sample joint click moments (fractions of samples
+    in which every mode of a block clicks), one subset at a time.
+    """
+    subset = tuple(subset)
+    total = 0.0
+    for pat in partition_patterns(len(subset)):
+        prod = 1.0
+        for block in pat.blocks:
+            prod *= float(samples[:, [subset[p] for p in block]].all(axis=1).mean())
+        total += pat.weight * prod
     return total
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from gbsemu import cumulants as cu
 from gbsemu import gaussian as g
 from gbsemu import sampler as sp
 from gbsemu.errors import ValidationError
+from gbsemu.subsets import order_offset, subset_rank
+from oracles import plugin_click_cumulant
 
 
 @pytest.fixture(scope="module")
@@ -49,28 +53,21 @@ def test_estimate_correlator_converges(exact_batch4):
 def test_click_cumulant_order1_is_mean():
     rng = np.random.default_rng(0)
     arr = (rng.random((5000, 3)) < 0.3).astype(np.uint8)
-    ests = bm.estimate_click_cumulants(arr, K=1)
-    for est in ests:
-        assert est.value == pytest.approx(arr[:, est.subset[0]].mean())
+    est = bm.estimate_click_cumulants(arr, K=1)
+    for k in range(3):
+        assert est[k] == pytest.approx(arr[:, k].mean())
 
 
 def test_click_cumulant_independent_bits_vanish():
     rng = np.random.default_rng(1)
     arr = (rng.random((200_000, 4)) < 0.5).astype(np.uint8)
-    for est in bm.estimate_click_cumulants(arr, K=2, orders=[2]):
-        assert abs(est.value) < 4 / np.sqrt(arr.shape[0])
+    est = bm.estimate_click_cumulants(arr, K=2)
+    assert np.all(np.abs(est[order_offset(4, 2) :]) < 4 / np.sqrt(arr.shape[0]))
 
 
 def test_click_cumulant_vacuum_samples():
     arr = np.zeros((100, 5), dtype=np.uint8)
-    for est in bm.estimate_click_cumulants(arr, K=3):
-        assert est.value == 0.0
-
-
-def test_click_cumulant_corrected_unavailable():
-    arr = np.zeros((10, 3), dtype=np.uint8)
-    with pytest.raises(NotImplementedError):
-        bm.estimate_click_cumulants(arr, K=2, mode="corrected")
+    assert np.all(bm.estimate_click_cumulants(arr, K=3) == 0.0)
 
 
 def test_click_cumulant_order_cap():
@@ -79,21 +76,24 @@ def test_click_cumulant_order_cap():
         bm.estimate_click_cumulants(arr, K=7)
 
 
-def test_click_cumulant_subset_sampling_deterministic():
-    rng = np.random.default_rng(2)
-    arr = (rng.random((500, 8)) < 0.4).astype(np.uint8)
-    a = bm.estimate_click_cumulants(arr, K=3, orders=[3], sample_fractions={3: 0.25}, seed=5)
-    b = bm.estimate_click_cumulants(arr, K=3, orders=[3], sample_fractions={3: 0.25}, seed=5)
-    assert [x.subset for x in a] == [x.subset for x in b]
-    assert len(a) == max(1, int(56 * 0.25))
+def test_click_cumulants_match_plugin_oracle():
+    # the table path agrees with the per-subset partition sum of joint moments
+    rng = np.random.default_rng(3)
+    arr = (rng.random((3000, 8)) < rng.uniform(0.1, 0.6, size=8)).astype(np.uint8)
+    est = bm.estimate_click_cumulants(arr, K=4)
+    for d in range(1, 5):
+        for S in combinations(range(8), d):
+            assert abs(est[subset_rank(S, 8, 4)] - plugin_click_cumulant(arr, S)) <= 1e-12
+    vacuum = np.zeros((3000, 8), dtype=np.uint8)
+    assert np.all(bm.estimate_click_cumulants(vacuum, K=4) == 0.0)
 
 
 def test_click_cumulants_match_theory(exact_batch4):
     inst, batch = exact_batch4
-    ests = bm.estimate_click_cumulants(batch.bitstrings, K=2, orders=[2])
-    for est in ests:
-        theory = cu.click_cumulant(inst, est.subset)
-        assert abs(est.value - theory) < 5 / np.sqrt(batch.N)
+    est = bm.estimate_click_cumulants(batch.bitstrings, K=2)
+    for S in combinations(range(4), 2):
+        theory = cu.click_cumulant(inst, S)
+        assert abs(est[subset_rank(S, 4, 2)] - theory) < 5 / np.sqrt(batch.N)
 
 
 # --- correlation statistics ---------------------------------------------------------
@@ -179,8 +179,6 @@ def test_xeb_uniform_over_click_sector():
     # samples uniform over weight-C patterns of a law uniform within each
     # sector: p(x) = p(C)/binom(M, C) makes every log term vanish
     M, C = 5, 2
-    from itertools import combinations
-
     patterns = list(combinations(range(M), C))
     dist = np.zeros(2**M)
     idx = []
@@ -279,6 +277,11 @@ def test_bootstrap_default_is_100():
 # --- report ---------------------------------------------------------------------------------
 
 
+def test_comparison_rejects_mode_count_mismatch(inst6):
+    with pytest.raises(ValidationError):
+        bm.cumulant_comparison(inst6, np.zeros((10, 5), dtype=np.uint8), orders=(2,))
+
+
 def test_report_beyond_desk_scale_skips_xeb_tvd():
     # cumulant statistics still run when no exact oracle exists (M > 20)
     inst, _ = g.random_instance(M=22, k=11, eta=0.6, r_max=1.0, seed=22)
@@ -295,31 +298,23 @@ def test_report_beyond_desk_scale_skips_xeb_tvd():
 def test_plugin_cumulants_within_bootstrap_error(inst6):
     # plugin estimates on exact-sampler output converge to the transform
     # values: |diff| <= 5 * bootstrap SE for >= 95% of subsets, orders <= 3
-    from itertools import combinations
-
     N = 1_000_000
     batch = sp.exact_reference_sampler(inst6, sp.SamplerConfig(N=N, method="exact_reference", seed=55))
     arr = batch.bitstrings
     subsets = [S for d in (1, 2, 3) for S in combinations(range(6), d)]
-    point = {
-        S: bm.estimate_click_cumulants(arr[:, S], K=len(S), orders=[len(S)])[0].value
-        for S in subsets
-    }
+    ranks = [subset_rank(S, 6, 3) for S in subsets]
+    point = bm.estimate_click_cumulants(arr, K=3)[ranks]
     B = 30
     rng = np.random.default_rng(7)
-    boots = {S: [] for S in subsets}
-    for _ in range(B):
+    boots = np.empty((B, len(subsets)))
+    for b in range(B):
         idx = rng.integers(0, N, size=N)
-        res = arr[idx]
-        for S in subsets:
-            boots[S].append(
-                bm.estimate_click_cumulants(res[:, S], K=len(S), orders=[len(S)])[0].value
-            )
+        boots[b] = bm.estimate_click_cumulants(arr[idx], K=3)[ranks]
     ok = 0
-    for S in subsets:
+    for i, S in enumerate(subsets):
         theory = cu.click_cumulant(inst6, S)
-        se = float(np.std(boots[S], ddof=1))
-        if abs(point[S] - theory) <= 5 * max(se, 1e-12):
+        se = float(np.std(boots[:, i], ddof=1))
+        if abs(point[i] - theory) <= 5 * max(se, 1e-12):
             ok += 1
     assert ok / len(subsets) >= 0.95
 
@@ -336,4 +331,5 @@ def test_build_and_write_report(tmp_path, inst6):
     import json
 
     summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
-    assert "pearson" in summary and summary["log_base"] == "e"
+    assert set(summary) == {"pearson", "spearman", "slope", "intercept", "tvd", "log_base", "notes"}
+    assert summary["log_base"] == "e"

@@ -278,6 +278,10 @@ _MALFORMED_SAMPLES = {
         lambda p: p.write_text("# gbs-samples v1 M=6 N=1 oops\n000000\n"),
     "header_without_modes":
         lambda p: p.write_text("# gbs-samples v1 N=1 method=x K=0 seed=0\n000000\n"),
+    "non_utf8_sample_byte":
+        lambda p: p.write_bytes(b"# gbs-samples v1 M=6 N=1 method=x K=0 seed=0\n00\xff001\n"),
+    "non_utf8_header_byte":
+        lambda p: p.write_bytes(b"# gbs-samples v1 M=6 N=1 method=\xff K=0 seed=0\n000000\n"),
 }
 
 

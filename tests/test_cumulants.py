@@ -5,6 +5,7 @@ import pytest
 
 from gbsemu import cumulants as cu
 from gbsemu import gaussian as g
+from gbsemu.benchmark import estimate_correlator
 from gbsemu.errors import NumericalError, ResourceGuardError, ValidationError
 from gbsemu.subsets import subset_rank, table_size
 
@@ -121,6 +122,56 @@ def test_table_rejects_nonpositive_determinant():
     object.__setattr__(inst, "sigma", sigma)
     with pytest.raises(NumericalError):
         cu.correlator_table(inst, K=2)
+
+
+# --- empirical correlators ------------------------------------------------------------
+
+
+def _bit_arrays():
+    rng = np.random.default_rng(12)
+    return {
+        "random": (rng.random((1003, 7)) < rng.uniform(0.1, 0.7, size=7)).astype(np.uint8),
+        "zeros": np.zeros((1003, 7), dtype=np.uint8),
+        "ones": np.ones((1003, 7), dtype=np.uint8),
+    }
+
+
+@pytest.mark.parametrize("name", ["random", "zeros", "ones"])
+def test_empirical_table_matches_estimate_correlator(name):
+    arr = _bit_arrays()[name]
+    tab = cu.empirical_correlator_table(arr, K=4)
+    assert tab.kind == "correlator" and tab.K == 4
+    for d in range(1, 5):
+        for S in combinations(range(7), d):
+            assert tab.values[subset_rank(S, 7, 4)] == estimate_correlator(arr, S)
+
+
+def test_empirical_table_independent_of_chunk_size(monkeypatch):
+    arr = _bit_arrays()["random"]
+    ref = cu.empirical_correlator_table(arr, K=4)
+    caps = []
+    chunks = cu._colex_chunks
+
+    def spy(M, d, chunk_rows=None):
+        caps.append(chunk_rows)
+        return chunks(M, d, chunk_rows)
+
+    monkeypatch.setattr(cu, "_colex_chunks", spy)
+    for limit in (1, 300, 1000):
+        monkeypatch.setattr(cu, "_PACKED_CHUNK_BYTES", limit)
+        caps.clear()
+        assert np.array_equal(cu.empirical_correlator_table(arr, K=4).values, ref.values)
+        # packed bits per chunk: rows times ceil(N / 8) bytes
+        assert all(cap * 126 <= max(limit, 126) for cap in caps)
+
+
+def test_empirical_table_rejects_bad_input():
+    with pytest.raises(ValidationError):
+        cu.empirical_correlator_table(np.zeros(5, dtype=np.uint8), K=1)
+    with pytest.raises(ValidationError):
+        cu.empirical_correlator_table(np.zeros((0, 3), dtype=np.uint8), K=1)
+    with pytest.raises(ValidationError):
+        cu.empirical_correlator_table(np.zeros((4, 3), dtype=np.uint8), K=4)
 
 
 # --- cumulant transforms --------------------------------------------------------------
