@@ -152,10 +152,12 @@ def cmd_sample(args) -> int:
                 "n_failed": batch.n_failed,
                 "worker_errors": batch.worker_errors,
                 "n_flagged": batch.n_flagged,
+                "n_clipped": batch.n_clipped,
+                "max_clip_excursion": batch.max_clip_excursion,
                 "per_sample_s": batch.per_sample_mean,
                 "throughput_per_s": (batch.N / batch.wall_time) if batch.wall_time > 0 else 0.0,
                 "aux_values_per_sample": (
-                    aux_values_per_sample(inst.M, args.method)
+                    aux_values_per_sample(inst.M, args.method, config.K, config.aux_orders)
                     if args.method != "exact_reference" else 0
                 ),
             },

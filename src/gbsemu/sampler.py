@@ -93,6 +93,9 @@ class SampleBatch:
     per_sample_mean: float = 0.0
     n_failed: int = 0
     n_flagged: int = 0
+    # conditionals p0 / pref clipped into [0, 1], and the largest distance clipped
+    n_clipped: int = 0
+    max_clip_excursion: float = 0.0
     # "<exception type>: <message>" of each worker chunk that raised
     worker_errors: list[str] = field(default_factory=list)
 
@@ -137,14 +140,58 @@ def _sample_uniforms(seed: int, index: int, M: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _table_shapes(M: int, K: int, method: str, aux) -> dict[str, tuple[int, ...]]:
+    """Shape (without the batch axis) of every float array MarginalTables holds.
+
+    ``P[a, b]`` is the interval marginal over bits b..a-1 (``pp`` is
+    ``P[1:]``).  The double method adds the packed q2 rows (row t starts at
+    C(t+1, 3)) and the blocks that contract each finished q2 row with kappa
+    once; ``q2`` and ``V2`` end in one always-zero slot that gathers use for
+    absent pairs.
+    """
+    shapes = {"s": (M,), "pref": (M + 1,), "P": (M + 1, M + 1), "q1": (M, M)}
+    if method != "double_elision":
+        return shapes
+    shapes["par2"] = (comb(M, 2),)
+    shapes["q2"] = (comb(M + 1, 3) + 1,)
+    if K >= 3:
+        shapes["T1"] = (M, M)
+    if K >= 4:
+        shapes["T2"] = (M, M)
+    if K >= 5:
+        shapes["T3"] = (comb(M - 2, 3),)
+    if aux[1] >= 2 or aux[2] >= 2:
+        shapes["V1"] = (comb(M + 1, 3),)
+    if aux[2] >= 2:
+        shapes["work"] = (comb(M, 2),)  # scratch of q2's row loop
+    if aux[1] >= 3:
+        shapes["V2"] = (comb(M, 3) + 1,)
+    return shapes
+
+
 class MarginalTables:
     """Dynamic-program arena for a batch of B in-flight samples.
 
-    Arrays are laid out (length, slot, batch) so that the per-step sums
-    reduce to dot products over contiguous slices: within an order the
-    cumulant table is colexicographic, so all subsets contained in a
-    prefix of the modes, or sharing a fixed top element, occupy
-    contiguous runs.
+    Every array carries a trailing batch axis, and every contraction runs
+    through ``np.einsum`` or elementwise ufuncs with that axis innermost,
+    so each sample's values do not depend on the batch width or on the
+    other samples.  A batch of one sample runs at width 2 (the column is
+    broadcast), because at width 1 einsum's reductions take a different
+    summation order.  No BLAS call is made: matmul results depend on the
+    batch width.
+
+    Double elision: the q2 row of step h-1 is final once ``update_p2(h-1)``
+    ends, and that call contracts it once with kappa for every later step:
+
+    * ``T1[h, n]``   = sum_p kappa(p+{n}) par2[p] q2[h-1, p],        n >= h
+    * ``T2[h, n]``   = sum_p kappa(p+{h, n}) par2[p] q2[h-1, p],     n > h
+    * ``T3[h; i, n]`` = sum_p kappa(p+{h, i, n}) par2[p] q2[h-1, p],  h < i < n
+    * ``V1[h; n, x]`` = sum_o kappa({o, n}) s_o q2[h-1, {x, o}],      n >= h
+    * ``V2[h; n, x]`` = sum_o kappa({o, h, n}) s_o q2[h-1, {x, o}],   n > h
+
+    Later p-steps and q1/q2 updates read O(n^2) of these values through
+    gathers planned once per table; only q2's split-above-i term still
+    walks the stored rows, because its weight changes with n.
     """
 
     def __init__(self, kappa: SubsetTable, config: SamplerConfig, batch: int):
@@ -155,34 +202,106 @@ class MarginalTables:
         if self.K > kappa.K:
             raise ValidationError(f"config K={config.K} exceeds table order {kappa.K}")
         self.cfg = config
-        self.B = batch
         self.kv = kappa.values
-        M, B = self.M, batch
+        M = self.M
         self.double = config.method == "double_elision"
-        # binomials and pair-rank lookup tables
-        self.C = np.zeros((M + 2, 7), dtype=np.int64)
-        for n in range(M + 2):
-            for k in range(7):
-                self.C[n, k] = comb(n, k)
+        self.C = np.array([[comb(n, k) for k in range(7)] for n in range(M + 2)], dtype=np.int64)
         self.off = {d: sum(comb(M, j) for j in range(1, d)) for d in range(1, self.K + 1)}
-        self.IDX2 = np.zeros((M, M), dtype=np.int64)
-        for i in range(M):
-            for j in range(M):
-                if i != j:
-                    self.IDX2[i, j] = pair_rank(i, j)
-        self.reset()
+        self.IDX2 = np.array(
+            [[pair_rank(i, j) if i != j else 0 for j in range(M)] for i in range(M)],
+            dtype=np.int64,
+        )
+        self.shapes = _table_shapes(M, self.K, config.method, config.aux_orders)
+        # K3sq[n][j, i] = kappa({j, i, n}) for j < i < n, 0 elsewhere
+        self.K3sq = {}
+        if self.K >= 3:
+            for n in range(2, M):
+                j, i = np.triu_indices(n, 1)
+                sq = np.zeros((n, n))
+                sq[j, i] = self.kv[self.off[3] + self.C[n, 3] + self.IDX2[j, i]]
+                self.K3sq[n] = sq
+        if self.double:
+            self._plan_double()
+        self.width = 0
+        self.reset(batch)
 
-    def reset(self):
-        M, B = self.M, self.B
-        self.s = np.ones((M, B))
-        self.bits = np.zeros((M, B), dtype=np.uint8)
-        self.pref = np.ones((M + 1, B))
-        self.pp = np.zeros((M, M, B))
-        self.q1 = np.zeros((M, M, B))
-        self.par2 = np.ones((self.C[M, 2], B)) if self.double else None
-        self.q2 = np.zeros((M, self.C[M, 2], B)) if self.double else None
-        self.flagged = np.zeros(B, dtype=bool)
-        self.aborted = np.zeros(B, dtype=bool)
+    def _kmat(self, d: int, uppers, r: int, ncols: int) -> np.ndarray:
+        """kappa({lower r-subset of colex rank c} + uppers[row]) as a (rows, ncols) array."""
+        up = np.asarray(uppers, dtype=np.int64).reshape(-1, d - r)
+        base = self.off[d] + sum(self.C[up[:, k], r + k + 1] for k in range(d - r))
+        return self.kv[base[:, None] + np.arange(ncols)]
+
+    def _plan_double(self) -> None:
+        """kappa relayouts for the row contractions and the per-step gathers."""
+        M, C, sh = self.M, self.C, self.shapes
+        self.kt1, self.kt2, self.kt3, self.kv1, self.kv2 = {}, {}, {}, {}, {}
+        self.sidx = {}
+        self.base1 = np.cumsum([0] + [(M - h) * h for h in range(1, M)])  # base1[h - 1]
+        self.base2 = np.cumsum([0] + [(M - 1 - h) * h for h in range(1, M - 1)])
+        base3, pos3 = {}, {}
+        at = 0
+        for j in range(2, M - 2):
+            base3[j] = at
+            for i in range(j + 1, M - 1):
+                for m in range(i + 1, M):
+                    pos3[j, i, m] = at
+                    at += 1
+        zero_q2 = sh["q2"][0] - 1
+        for h in range(2, M):
+            npair = C[h, 2]
+            later = np.arange(h, M)
+            if "T1" in sh:
+                self.kt1[h] = self._kmat(3, later, 2, npair)
+            if "T2" in sh and h < M - 1:
+                self.kt2[h] = self._kmat(4, [(h, m) for m in range(h + 1, M)], 2, npair)
+            if "T3" in sh and h < M - 2:
+                rows = [(h, i, m) for i in range(h + 1, M - 1) for m in range(i + 1, M)]
+                self.kt3[h] = (base3[h], self._kmat(5, rows, 2, npair))
+            if "V1" in sh or "V2" in sh:
+                sq = C[h, 3] + self.IDX2[:h, :h]
+                sq[np.diag_indices(h)] = zero_q2
+                self.sidx[h] = sq
+            if "V1" in sh:
+                self.kv1[h] = self._kmat(2, later, 1, h)
+            if "V2" in sh and h < M - 1:
+                self.kv2[h] = self._kmat(3, [(h, m) for m in range(h + 1, M)], 1, h)
+        # per-step gathers
+        self.sq2, self.v1pairs, self.p5 = {}, {}, {}
+        for n in range(2, M):
+            if "V2" in sh:
+                sq = np.full((n, n), sh["V2"][0] - 1, dtype=np.int64)
+                for i in range(n):
+                    sq[:i, i] = self.base2[i - 1] + (n - i - 1) * i + np.arange(i)
+                self.sq2[n] = sq
+            if "V1" in sh:
+                e, d = np.array([(e, d) for e in range(1, n) for d in range(e)]).T
+                self.v1pairs[n] = (self.base1[e - 1] + (n - e) * e + d, e + 1)
+            if "T3" in sh and n >= 4:
+                i, j = np.array([(i, j) for i in range(3, n) for j in range(2, i)]).T
+                t3 = np.array([pos3[jj, ii, n] for ii, jj in zip(i, j)])
+                self.p5[n] = (i + 1, i * (M + 1) + j + 1, j + C[i, 2], t3)
+
+    def reset(self, batch: int | None = None) -> None:
+        """Start a new batch; reallocates only when the width changes."""
+        if batch is not None and batch != self.width:
+            self.width = batch
+            self.B = max(batch, 2)
+            for name, shape in self.shapes.items():
+                setattr(self, name, np.zeros(shape + (self.B,)))
+            diag = np.arange(self.M + 1)
+            self.P[diag, diag] = 1.0  # empty intervals
+            self.pp = self.P[1:]
+            self.bits = np.zeros((self.M, self.B), dtype=np.uint8)
+        self.pref[0] = 1.0
+        self.flagged = np.zeros(self.B, dtype=bool)
+        self.aborted = np.zeros(self.B, dtype=bool)
+        self.n_clipped = np.zeros(self.B, dtype=np.int64)
+        self.max_clip_excursion = np.zeros(self.B)
+
+    def q2_row(self, t: int) -> np.ndarray:
+        """q2[t] as a (C(t+1, 2), B) view: pair {d, e}, d < e <= t, at d + C(e, 2)."""
+        start = self.C[t + 1, 3]
+        return self.q2[start : start + self.C[t + 1, 2]]
 
     # -- cumulant block views ------------------------------------------------
 
@@ -194,192 +313,131 @@ class MarginalTables:
         start = self.off[d] + self.C[n, d]
         return self.kv[start : start + self.C[n, d - 1]]
 
-    # -- interval helpers ----------------------------------------------------
-
-    def _upper(self, n: int) -> np.ndarray:
-        """upper[i] = marginal over bits i+1..n-1 (1 when empty), i in [0, n-1]."""
-        up = np.empty((n, self.B))
-        if n >= 2:
-            up[: n - 1] = self.pp[n - 1, 1:n]
-        up[n - 1] = 1.0
-        return up
-
-    def _lower(self, l: int, n: int) -> np.ndarray:
-        """lower[i - l] = marginal over bits l..i-1 for i in [l, n-1]."""
-        lo = np.empty((n - l, self.B))
-        lo[0] = 1.0
-        if n - l > 1:
-            lo[1:] = self.pp[l : n - 1, l]
-        return lo
-
     # -- p-step --------------------------------------------------------------
 
     def step_probability_zero(self, n: int) -> np.ndarray:
         """Joint probability of (bit n = 0, realized prefix), order-K expansion."""
-        s, B = self.s, self.B
+        s = self.s
         out = 0.5 * (1.0 + self._k1(n)) * self.pref[n]
         if n == 0 or self.K < 2:
             return out
-        up = self._upper(n)
         g2 = self._kblk(2, n)[:, None] * s[:n]
         out += 0.25 * np.einsum("ib,ib->b", g2, self.q1[n - 1, :n])
-        if self.K >= 3 and n >= 2:
-            if self.double:
-                np2 = self.C[n, 2]
-                g3 = self._kblk(3, n)[:, None] * self.par2[:np2]
-                out += 0.125 * np.einsum("ib,ib->b", g3, self.q2[n - 1, :np2])
-            else:
-                k3 = self._kblk(3, n)
-                acc = np.zeros(B)
-                for i in range(1, n):
-                    w = (k3[self.C[i, 2] : self.C[i, 2] + i, None] * s[:i]) * s[i]
-                    acc += up[i] * np.einsum("ib,ib->b", w, self.q1[i - 1, :i])
-                out += 0.125 * acc
-        if self.double and self.K >= 4 and n >= 3:
-            k4 = self._kblk(4, n)
-            acc = np.zeros(B)
-            for i in range(2, n):
-                w = k4[self.C[i, 3] : self.C[i, 3] + self.C[i, 2], None] * self.par2[: self.C[i, 2]]
-                acc += up[i] * s[i] * np.einsum("ib,ib->b", w, self.q2[i - 1, : self.C[i, 2]])
-            out += 0.0625 * acc
-        if self.double and self.K >= 5 and n >= 4:
-            k5 = self._kblk(5, n)
-            acc = np.zeros(B)
-            for i in range(3, n):
-                base_i = self.C[i, 4]
-                for j in range(2, i):
-                    w = (
-                        k5[base_i + self.C[j, 3] : base_i + self.C[j, 3] + self.C[j, 2], None]
-                        * self.par2[: self.C[j, 2]]
-                    )
-                    mid = self.pp[i - 1, j + 1] if j + 1 <= i - 1 else 1.0
-                    acc += (
-                        up[i]
-                        * mid
-                        * s[i]
-                        * s[j]
-                        * np.einsum("ib,ib->b", w, self.q2[j - 1, : self.C[j, 2]])
-                    )
-            out += 0.03125 * acc
+        if self.K < 3 or n < 2:
+            return out
+        up = self.P[n, 1 : n + 1]  # up[i]: marginal over bits i+1..n-1
+        if not self.double:
+            # sum_{j < i < n} kappa(j, i, n) s_j s_i q1[i-1, j] up[i]
+            sq1 = self.q1[: n - 1, : n - 1] * s[: n - 1]
+            y = np.einsum("ji,ijb->ib", self.K3sq[n][: n - 1, 1:n], sq1)
+            return out + 0.125 * np.einsum("ib,ib,ib->b", y, up[1:], s[1:n])
+        out += 0.125 * self.T1[n, n]
+        if self.K >= 4 and n >= 3:
+            out += 0.0625 * np.einsum("ib,ib,ib->b", up[2:], s[2:n], self.T2[2:n, n])
+        if self.K >= 5 and n >= 4:
+            upi, mid, par, t3 = self.p5[n]
+            w = self.P[n][upi] * self.P.reshape(-1, self.B)[mid] * self.par2[par]
+            out += 0.03125 * np.einsum("qb,qb->b", w, self.T3[t3])
         return out
 
     # -- table updates (run after bit n is realized) ---------------------------
 
     def update_p_plus(self, n: int) -> None:
-        s = self.s
-        g1 = self._k1(n) * s[n]
-        self.pp[n, n] = 0.5 * (1.0 + g1)
+        s, P = self.s, self.P
+        a = 0.5 * (1.0 + self._k1(n) * s[n])
+        P[n + 1, n] = a
         if n == 0:
             return
         order = self.cfg.aux_orders[0]
-        up = self._upper(n)
-        g2 = (self._kblk(2, n)[:, None] * s[:n]) * s[n] if order >= 2 else None
-        wj = None
-        if order >= 3 and n >= 2:
-            # wj[j] = sum_{i > j} gamma(j, i, n) * upper[i] * marginal(j+1 .. i-1)
-            k3 = self._kblk(3, n)
-            wj = np.zeros((n, self.B))
-            for j in range(n - 1):
-                idx = j + self.C[j + 1 : n, 2]
-                mids = np.empty((n - 1 - j, self.B))
-                mids[0] = 1.0
-                if n - 2 - j > 0:
-                    mids[1:] = self.pp[j + 1 : n - 1, j + 1]
-                wj[j] = (
-                    np.einsum("ib,ib->b", k3[idx, None] * s[j + 1 : n] * mids, up[j + 1 :])
-                    * s[j]
-                    * s[n]
-                )
-        for l in range(n):
-            val = 0.5 * (1.0 + g1) * self.pp[n - 1, l]
-            if order >= 2:
-                lo = self._lower(l, n)
-                val += 0.25 * np.einsum("ib,ib->b", g2[l:n], up[l:n] * lo)
-                if wj is not None:
-                    val += 0.125 * np.einsum("ib,ib->b", wj[l:n], lo)
-            self.pp[n, l] = val
+        val = a * P[n, :n]
+        if order >= 2:
+            up = P[n, 1 : n + 1]
+            c = 0.25 * (self._kblk(2, n)[:, None] * s[:n] * s[n]) * up
+            if order >= 3 and n >= 2:
+                # w[j] = sum_{i > j} gamma(j, i, n) * up[i] * marginal(j+1 .. i-1)
+                w = np.einsum("ji,ib,ijb->jb", self.K3sq[n], s[:n] * up, P[:n, 1 : n + 1])
+                c += 0.125 * w * s[:n] * s[n]
+            # P[i, l] (bits l..i-1) is 0 for l > i, so each l sums over i >= l
+            val += np.einsum("ilb,ib->lb", P[:n, :n], c)
+        P[n + 1, :n] = val
 
     def update_p1(self, n: int) -> None:
         s = self.s
-        g1 = self._k1(n) * s[n]
         self.q1[n, n] = self.pref[n]
         if n == 0:
             return
         order = self.cfg.aux_orders[1]
-        up = self._upper(n)
-        g2 = (self._kblk(2, n)[:, None] * s[:n]) * s[n]
+        val = 0.5 * (1.0 + self._k1(n) * s[n]) * self.q1[n - 1, :n]
+        up = self.P[n, 1 : n + 1]
         if self.double:
-            for e in range(n):
-                val = 0.5 * (1.0 + g1) * self.q1[n - 1, e]
-                if order >= 2:
-                    gath = self.q2[n - 1, self.IDX2[e, :n]]
-                    gath[e] = 0.0
-                    val += 0.25 * np.einsum("ib,ib->b", g2, gath)
-                if order >= 3 and n >= 2:
-                    k3 = self._kblk(3, n)
-                    if e >= 2:
-                        w = k3[: self.C[e, 2], None] * self.par2[: self.C[e, 2]] * s[n]
-                        val += (
-                            0.125
-                            * up[e]
-                            * np.einsum("ib,ib->b", w, self.q2[e - 1, : self.C[e, 2]])
-                        )
-                    for i in range(e + 1, n):
-                        w = (k3[self.C[i, 2] : self.C[i, 2] + i, None] * s[:i]) * (s[i] * s[n])
-                        gath = self.q2[i - 1, self.IDX2[e, :i]]
-                        gath[e] = 0.0
-                        val += 0.125 * up[i] * np.einsum("ib,ib->b", w, gath)
-                self.q1[n, e] = val
-        else:
-            for e in range(n):
-                val = 0.5 * (1.0 + g1) * self.q1[n - 1, e]
-                if order >= 2:
-                    if e >= 1:
-                        val += 0.25 * up[e] * np.einsum(
-                            "ib,ib->b", g2[:e], self.q1[e - 1, :e]
-                        )
-                    if e + 1 < n:
-                        val += 0.25 * np.einsum(
-                            "ib,ib->b", g2[e + 1 :], up[e + 1 :] * self.q1[e : n - 1, e]
-                        )
-                self.q1[n, e] = val
+            if order >= 2:
+                start = self.base1[n - 1]
+                val += 0.25 * s[n] * self.V1[start : start + n]
+            if order >= 3 and n >= 2:
+                acc = up * self.T1[:n, n]
+                acc += np.einsum("eib,ib->eb", self.V2[self.sq2[n]], up * s[:n])
+                val += 0.125 * s[n] * acc
+        elif order >= 2:
+            # q1[t, i] is 0 for i > t, which bounds both sums
+            g2 = (self._kblk(2, n)[:, None] * s[:n]) * s[n]
+            q1 = self.q1[: n - 1, : n - 1]
+            val[1:] += 0.25 * up[1:] * np.einsum("ib,eib->eb", g2[: n - 1], q1)
+            val[: n - 1] += 0.25 * np.einsum("ib,ieb->eb", (g2 * up)[1:], q1)
+        self.q1[n, :n] = val
 
     def update_p2(self, n: int) -> None:
         if not self.double:
             return
-        s = self.s
-        g1 = self._k1(n) * s[n]
-        np2 = self.C[n, 2]
+        s, C = self.s, self.C
+        row = self.q2_row(n)
+        np2 = C[n, 2]
         # pairs whose top elision is n degrade to the single-elision row
-        self.q2[n, np2 : np2 + n] = self.q1[n - 1, :n]
-        if n == 0:
+        row[np2:] = self.q1[n - 1, :n]
+        if n >= 2:
+            decay = 0.5 * (1.0 + self._k1(n) * s[n]) * self.q2_row(n - 1)
+            if self.cfg.aux_orders[2] < 2:
+                row[:np2] = decay
+            else:
+                up = self.P[n, 1 : n + 1]
+                # o != d below e: split above e, the pair {d, o} of row e-1
+                v1, e1 = self.v1pairs[n]
+                acc = self.P[n][e1] * s[n] * self.V1[v1]
+                # i > e: split above i, pair {d, e} survives in row i-1
+                w = (self._kblk(2, n)[:, None] * s[:n]) * s[n] * up
+                for i in range(2, n):
+                    m = C[i, 2]
+                    np.multiply(self.q2_row(i - 1), w[i], out=self.work[:m])
+                    acc[:m] += self.work[:m]
+                acc *= 0.25
+                np.add(decay, acc, out=row[:np2])
+        self._contract_row(n)
+
+    def _contract_row(self, t: int) -> None:
+        """Contract the finished q2 row t with kappa for every later step."""
+        h = t + 1
+        if h < 2 or h >= self.M:
             return
-        order = self.cfg.aux_orders[2]
-        self.q2[n, :np2] = 0.5 * (1.0 + g1) * self.q2[n - 1, :np2]
-        if order < 2:
-            return
-        up = self._upper(n)
-        g2full = (self._kblk(2, n)[:, None] * s[:n]) * s[n]
-        for e in range(1, n):
-            for d in range(e):
-                slot = d + self.C[e, 2]
-                val = np.zeros(self.B)
-                if e + 1 < n:  # i > e: split above i, pair {d, e} survives
-                    val += np.einsum(
-                        "ib,ib->b", g2full[e + 1 :], up[e + 1 :] * self.q2[e : n - 1, slot]
-                    )
-                if d >= 1:  # i < d: split above e, pair {i, d}
-                    val += up[e] * np.einsum(
-                        "ib,ib->b",
-                        g2full[:d],
-                        self.q2[e - 1, self.C[d, 2] : self.C[d, 2] + d],
-                    )
-                if e - d > 1:  # d < i < e: split above e, pair {d, i}
-                    idx = d + self.C[d + 1 : e, 2]
-                    val += up[e] * np.einsum(
-                        "ib,ib->b", g2full[d + 1 : e], self.q2[e - 1, idx]
-                    )
-                self.q2[n, slot] += 0.25 * val
+        B = self.B
+        row = self.q2_row(t)
+        z = self.par2[: self.C[h, 2]] * row
+        if h in self.kt1:
+            np.einsum("np,pb->nb", self.kt1[h], z, out=self.T1[h, h:])
+        if h in self.kt2:
+            np.einsum("np,pb->nb", self.kt2[h], z, out=self.T2[h, h + 1 :])
+        if h in self.kt3:
+            start, kmat = self.kt3[h]
+            np.einsum("np,pb->nb", kmat, z, out=self.T3[start : start + len(kmat)])
+        if h in self.sidx:
+            # S[x, o] = s_o q2[t, {x, o}], 0 at o = x
+            S = self.q2[self.sidx[h]] * self.s[:h]
+            if h in self.kv1:
+                start = self.base1[h - 1]
+                out = self.V1[start : start + (self.M - h) * h].reshape(self.M - h, h, B)
+                np.einsum("no,xob->nxb", self.kv1[h], S, out=out)
+            if h in self.kv2:
+                start = self.base2[h - 1]
+                out = self.V2[start : start + (self.M - h - 1) * h].reshape(self.M - h - 1, h, B)
+                np.einsum("no,xob->nxb", self.kv2[h], S, out=out)
 
     def advance(self, n: int, bits_n: np.ndarray, q0: np.ndarray) -> None:
         """Record the realized bit, update the prefix and all tables."""
@@ -394,7 +452,12 @@ class MarginalTables:
         self.update_p_plus(n)
 
     def run(self, uniforms: np.ndarray | None, forced: np.ndarray | None = None) -> None:
-        """Run the chain for all M bits; draws from uniforms unless forced."""
+        """Run the chain for all M bits; draws from uniforms unless forced.
+
+        A conditional p0 / pref outside [0, 1] is clipped; each clip is
+        counted in ``n_clipped`` and its distance from [0, 1] kept in
+        ``max_clip_excursion`` (per sample).
+        """
         cfg = self.cfg
         for n in range(self.M):
             p0 = self.step_probability_zero(n)
@@ -405,7 +468,15 @@ class MarginalTables:
             denom = self.pref[n]
             dead = denom <= 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                q0 = np.clip(p0 / denom, 0.0, 1.0)
+                ratio = p0 / denom
+            q0 = np.clip(ratio, 0.0, 1.0)
+            excursion = np.where(dead, 0.0, np.maximum(ratio - 1.0, -ratio))
+            clipped = excursion > 0.0
+            if clipped.any():
+                self.n_clipped += clipped
+                self.max_clip_excursion = np.maximum(
+                    self.max_clip_excursion, np.where(clipped, excursion, 0.0)
+                )
             if dead.any():
                 self.flagged |= dead
                 q0 = np.where(dead, 0.5 * (1.0 + self._k1(n)), q0)
@@ -591,53 +662,70 @@ def chain_joint_probability(kappa: SubsetTable, bits, config: SamplerConfig) -> 
 # ---------------------------------------------------------------------------
 
 
-def aux_values_per_sample(M: int, method: str) -> int:
-    """Marginal-table values held per in-flight sample.
+def aux_values_per_sample(M: int, method: str, K: int = 5, aux_orders=None) -> int:
+    """Float64 values MarginalTables holds per in-flight sample.
 
-    Prefix + interval + single-elision tables are O(M^2); the pair-elision
-    history adds choose(M+1, 3) values for the double method.
+    The sum of the table shapes of ``_table_shapes``.  Prefix, sign,
+    interval and single-elision tables are O(M^2); the double method adds
+    the packed q2 rows, choose(M+1, 3) + 1 values, and the contracted
+    blocks: two M x M tables, choose(M-2, 3) for order 5, choose(M+1, 3)
+    and choose(M, 3) + 1 for the pair sums.  The kappa relayouts are
+    shared by the batch and not counted.
     """
-    base = (M + 1) + 2 * (M * (M + 1) // 2)
-    if method == "double_elision":
-        base += comb(M + 1, 3)
-    return base
+    K = min(K, M)
+    aux = aux_orders or tuple(min(a, K) for a in _DEFAULT_AUX[method])
+    return sum(int(np.prod(shape)) for shape in _table_shapes(M, K, method, aux).values())
 
 
-def _auto_batch(M: int, double: bool) -> int:
-    budget = 1 << 25
-    if double:
-        return int(min(1024, max(8, budget // max(M * M * (M + 4), 1))))
-    return int(min(4096, max(8, budget // max(2 * M * M, 1))))
+# float64 table values of one batch (32 MiB).  Measured on a 2-core host
+# (K = 5, double elision), wider batches gain little once the tables pass
+# this size: 1024 at M = 12 and 256 at M = 24 are within noise of the best
+# width and hold less than the previous engine's tables.
+_BATCH_VALUES = 1 << 22
+
+
+def _auto_batch(M: int, config: SamplerConfig) -> int:
+    """Widest power-of-two batch whose tables fit in _BATCH_VALUES values."""
+    per_sample = aux_values_per_sample(M, config.method, config.K, config.aux_orders)
+    width = 1 << ((_BATCH_VALUES // per_sample).bit_length() - 1)
+    return min(1024 if config.method == "double_elision" else 4096, max(64, width))
 
 
 def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: int):
-    """Generate samples start..stop-1; returns bits plus flag/abort counts."""
+    """Generate samples start..stop-1; returns bits, abort flags and counters.
+
+    The counters are (flagged samples, clipped conditionals, largest clip
+    excursion).
+    """
     M = kappa.M
     n = stop - start
     out = np.empty((n, M), dtype=np.uint8)
-    flagged = 0
+    flagged = clipped = 0
+    excursion = 0.0
     aborted = np.zeros(n, dtype=bool)
     if _fast_supported(config):
-        B = config.batch_size or _auto_batch(M, config.method == "double_elision")
+        B = config.batch_size or _auto_batch(M, config)
         tables = None
         for s0 in range(0, n, B):
             b = min(B, n - s0)
-            if tables is None or tables.B != b:
+            if tables is None:
                 tables = MarginalTables(kappa, config, batch=b)
             else:
-                tables.reset()
+                tables.reset(b)
             u = np.ascontiguousarray(_stream_uniforms(config.seed, start + s0, b, M).T)
             tables.run(u)
-            out[s0 : s0 + b] = tables.bits.T
-            flagged += int(tables.flagged.sum())
-            aborted[s0 : s0 + b] = tables.aborted
+            out[s0 : s0 + b] = tables.bits[:, :b].T
+            flagged += int(tables.flagged[:b].sum())
+            clipped += int(tables.n_clipped[:b].sum())
+            excursion = max(excursion, float(tables.max_clip_excursion[:b].max()))
+            aborted[s0 : s0 + b] = tables.aborted[:b]
     else:
         for t in range(n):
             chain = ScalarChain(kappa, config)
             chain.run(uniforms=_sample_uniforms(config.seed, start + t, M))
             out[t] = chain.bits
             flagged += int(chain.flagged)
-    return out, flagged, aborted
+    return out, aborted, (flagged, clipped, excursion)
 
 
 _POOL_STATE: dict = {}
@@ -650,13 +738,12 @@ def _pool_init(kappa_values, M, K, config):
 
 def _pool_chunk(args):
     start, stop = args
-    out, flagged, aborted = _chunk_chain(_POOL_STATE["kappa"], _POOL_STATE["config"], start, stop)
-    return start, out, flagged, aborted
+    return (start,) + _chunk_chain(_POOL_STATE["kappa"], _POOL_STATE["config"], start, stop)
 
 
 def sample_one(kappa: SubsetTable, config: SamplerConfig, index: int = 0) -> np.ndarray:
     """Generate the bitstring of sample `index` of the configured stream."""
-    bits, _, aborted = _chunk_chain(kappa, config, index, index + 1)
+    bits, aborted, _ = _chunk_chain(kappa, config, index, index + 1)
     if aborted[0]:
         raise ValidationError("sample aborted: non-finite table values")
     return bits[0]
@@ -710,11 +797,12 @@ def batch_sample(
     t0 = time.perf_counter()
     bits = np.empty((config.N, M), dtype=np.uint8)
     aborted = np.zeros(config.N, dtype=bool)
-    flagged = 0
+    flagged = clipped = 0
+    excursion = 0.0
     worker_errors = []
     if config.N > 0:
         if config.workers <= 1:
-            bits, flagged, aborted = _chunk_chain(kappa, config, 0, config.N)
+            bits, aborted, (flagged, clipped, excursion) = _chunk_chain(kappa, config, 0, config.N)
         else:
             # two chunks per worker (samples cost the same); chunks batch internally
             chunk = max(32, -(-config.N // (config.workers * 2)))
@@ -727,10 +815,12 @@ def batch_sample(
                 futures = {ex.submit(_pool_chunk, t): t for t in tasks}
                 for fut, (s, e) in futures.items():
                     try:
-                        start, out, fl, ab = fut.result()
+                        start, out, ab, (fl, cl, ex) = fut.result()
                         bits[start : start + out.shape[0]] = out
-                        flagged += fl
                         aborted[start : start + out.shape[0]] = ab
+                        flagged += fl
+                        clipped += cl
+                        excursion = max(excursion, ex)
                     except Exception as exc:
                         worker_errors.append(f"{type(exc).__name__}: {exc}")
                         aborted[s:e] = True
@@ -742,7 +832,8 @@ def batch_sample(
         M=M, N=n_ok, bitstrings=bits, method=config.method, K=config.K,
         seed=config.seed, wall_time=wall,
         per_sample_mean=wall / max(n_ok, 1),
-        n_failed=int(config.N - n_ok), n_flagged=flagged, worker_errors=worker_errors,
+        n_failed=int(config.N - n_ok), n_flagged=flagged, n_clipped=clipped,
+        max_clip_excursion=excursion, worker_errors=worker_errors,
     )
 
 

@@ -123,7 +123,7 @@ def test_tables_independent_modes_product(independent6):
             for d in range(e):
                 kept = [k for k in range(t + 1) if k not in (d, e)]
                 slot = d + tables.C[e, 2]
-                assert tables.q2[t, slot][0] == pytest.approx(np.prod(factor[kept]), abs=1e-12)
+                assert tables.q2_row(t)[slot][0] == pytest.approx(np.prod(factor[kept]), abs=1e-12)
 
 
 def test_tables_vacuum_all_zero_bits():
@@ -437,10 +437,80 @@ def test_packed_bytes_lsb_first(tmp_path):
 
 
 def test_aux_memory_budget():
-    # pair-elision history stays within choose(M+1, 3) values at M=144
+    # packed q2 rows plus the contracted blocks, each O(M^3 / 6), at M=144
     from math import comb
 
-    total = sp.aux_values_per_sample(144, "double_elision")
-    q2_part = total - sp.aux_values_per_sample(144, "single_elision")
-    assert q2_part == comb(145, 3)
+    M = 144
+    total = sp.aux_values_per_sample(M, "double_elision")
+    q2_part = total - sp.aux_values_per_sample(M, "single_elision")
+    packed_q2 = comb(M + 1, 3) + 1
+    blocks = 2 * M * M + comb(M - 2, 3) + comb(M + 1, 3) + comb(M, 3) + 1
+    pair_signs_and_scratch = 2 * comb(M, 2)
+    assert q2_part == packed_q2 + blocks + pair_signs_and_scratch
     assert sp.aux_values_per_sample(64, "single_elision") < 3 * 64 * 64
+
+
+@pytest.mark.parametrize(
+    "method,K,aux",
+    [("double_elision", 5, (3, 3, 2)), ("double_elision", 4, (2, 2, 1)),
+     ("double_elision", 3, (3, 3, 2)), ("single_elision", 3, (2, 2, 0))],
+)
+def test_aux_values_count_engine_arrays(lossy7, method, K, aux):
+    # every float table with a batch axis that the engine owns is counted
+    _, ktab = lossy7
+    tables = sp.MarginalTables(ktab, sp.SamplerConfig(N=0, K=K, method=method, aux_orders=aux), 5)
+    held = sum(
+        a.size // 5 for a in vars(tables).values()
+        if isinstance(a, np.ndarray) and a.dtype == float and a.ndim >= 2
+        and a.shape[-1] == 5 and a.base is None
+    )
+    assert held == sp.aux_values_per_sample(7, method, K, aux)
+
+
+def _final_tables(ktab, cfg, width, count):
+    """Bytes of the final pref/pp/q1/q2 of samples 0..count-1 run at `width`."""
+    M = ktab.M
+    out, tables = [], None
+    for s0 in range(0, count, width):
+        b = min(width, count - s0)
+        if tables is None:
+            tables = sp.MarginalTables(ktab, cfg, batch=b)
+        else:
+            tables.reset(b)
+        tables.run(np.ascontiguousarray(sp._stream_uniforms(cfg.seed, s0, b, M).T))
+        arrays = [tables.pref, tables.pp, tables.q1] + ([tables.q2] if tables.double else [])
+        for c in range(b):
+            out.append(b"".join(np.ascontiguousarray(a[..., c]).tobytes() for a in arrays))
+    return out
+
+
+@pytest.mark.parametrize("method,K", [("double_elision", 5), ("single_elision", 3)])
+def test_tables_independent_of_batch_width(method, K):
+    inst, _ = g.random_instance(M=16, k=4, eta=0.6, r_max=1.0, seed=21)
+    ktab = make_tables(inst, K)
+    cfg = sp.SamplerConfig(N=0, K=K, method=method, seed=4)
+    auto = sp._auto_batch(16, cfg)
+    reference = _final_tables(ktab, cfg, auto, auto)[:70]
+    for width in (1, 2, 3, 7, 64):
+        assert _final_tables(ktab, cfg, width, 70) == reference, f"width {width}"
+    # the width-1 entry points run at width 2 and agree with a wide batch
+    bits = np.random.default_rng(5).integers(0, 2, (16, 8)).astype(np.uint8)
+    tables = sp.MarginalTables(ktab, cfg, batch=8)
+    tables.run(None, forced=bits)
+    for c in range(8):
+        assert sp.chain_joint_probability(ktab, bits[:, c], cfg) == tables.pref[16][c]
+
+
+def test_clip_counters():
+    vacuum = make_tables(g.vacuum_instance(6), 3)
+    batch = sp.batch_sample(sp.SamplerConfig(N=50, K=3, seed=1), kappa=vacuum)
+    assert batch.n_clipped == 0 and batch.max_clip_excursion == 0.0
+    # kappa({0}) = 1.5 puts the first conditional at 1.25: one clip of 0.25 per sample
+    values = np.zeros(3)  # orders 1 and 2 of two modes
+    values[0] = 1.5
+    forced = cu.SubsetTable(M=2, K=2, values=values, kind="cumulant")
+    for method in ("single_elision", "double_elision"):
+        for workers in (1, 2):
+            cfg = sp.SamplerConfig(N=40, K=2, method=method, seed=1, workers=workers)
+            batch = sp.batch_sample(cfg, kappa=forced)
+            assert batch.n_clipped == 40 and batch.max_clip_excursion == 0.25
