@@ -15,6 +15,10 @@ alternates from pair to pair.  The output records each run, the medians
 and quartiles of samples/s, the median per-layer seconds, the peak RSS of
 each tree, the number of pairs in which the change was faster, and
 whether the two trees drew the same bitstrings.
+
+A second part (``widths``) runs this tree alone at fixed batch widths,
+WIDTH_RUNS runs per width, and records samples/s and peak RSS at each
+width next to the width ``_auto_batch`` picks.
 """
 
 from __future__ import annotations
@@ -37,6 +41,16 @@ POINTS = (
     (32, 5, "double_elision", 2000),
     (48, 5, "double_elision", 400),
     (64, 3, "single_elision", 8192),
+    (128, 3, "single_elision", 1024),
+)
+# (M, K, method, N, widths): this tree at fixed batch widths, against the
+# width _auto_batch picks; for single elision the widest entry is the
+# previous engine's width
+WIDTH_RUNS = 3
+WIDTH_POINTS = (
+    (48, 5, "double_elision", 512, (16, 32, 64, 128, 256)),
+    (64, 3, "single_elision", 8192, (64, 128, 256, 512, 1024, 4096)),
+    (128, 3, "single_elision", 2048, (32, 64, 128, 256, 1024)),
 )
 LAYERS = ("step_probability_zero", "update_p1", "update_p2", "update_p_plus")
 
@@ -58,6 +72,7 @@ from gbsemu.cumulants import load_table
 kappa = load_table(sys.argv[2])
 K, method, N = int(sys.argv[3]), sys.argv[4], int(sys.argv[5])
 split = dict.fromkeys(sys.argv[6].split(","), 0.0)
+width = int(sys.argv[7]) or None  # 0: the tree's own width
 
 def timed(name, fn):
     def wrapper(self, n):
@@ -70,7 +85,7 @@ def timed(name, fn):
 
 for name in split:
     setattr(sampler.MarginalTables, name, timed(name, getattr(sampler.MarginalTables, name)))
-cfg = sampler.SamplerConfig(N=N, K=K, method=method, seed=1)
+cfg = sampler.SamplerConfig(N=N, K=K, method=method, seed=1, batch_size=width)
 t0 = time.perf_counter()
 batch = sampler.batch_sample(cfg, kappa=kappa)
 wall = time.perf_counter() - t0
@@ -93,10 +108,10 @@ def table_path(M: int, K: int) -> Path:
     return path
 
 
-def run_one(src: Path, table: Path, K: int, method: str, N: int) -> dict:
+def run_one(src: Path, table: Path, K: int, method: str, N: int, width: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(src), str(table), str(K), method, str(N),
-         ",".join(LAYERS)],
+         ",".join(LAYERS), str(width)],
         capture_output=True, text=True, env=_ENV, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -105,6 +120,32 @@ def run_one(src: Path, table: Path, K: int, method: str, N: int) -> dict:
 def summary(xs: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
+
+
+def width_sweep() -> list[dict]:
+    """This tree at each fixed width; the run order reverses every round."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from gbsemu import sampler
+
+    rows = []
+    for M, K, method, N, widths in WIDTH_POINTS:
+        table = table_path(M, K)
+        runs = {w: [] for w in widths}
+        for i in range(WIDTH_RUNS):
+            for w in widths if i % 2 == 0 else widths[::-1]:
+                runs[w].append(run_one(ROOT / "src", table, K, method, N, w))
+                print(f"M={M} K={K} {method} width {w}: "
+                      f"{runs[w][-1]['samples_per_s']:.1f}/s", file=sys.stderr)
+        rows.append({
+            "M": M, "K": K, "method": method, "N": N, "runs_per_width": WIDTH_RUNS,
+            "auto_width": sampler._auto_batch(
+                M, sampler.SamplerConfig(N=0, K=K, method=method)),
+            "by_width": [{"width": w,
+                          "samples_per_s": summary([r["samples_per_s"] for r in runs[w]]),
+                          "peak_rss_mb": max(r["peak_rss_mb"] for r in runs[w])}
+                         for w in widths],
+        })
+    return rows
 
 
 def main() -> int:
@@ -145,6 +186,7 @@ def main() -> int:
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "points": rows,
+        "widths": width_sweep(),
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0

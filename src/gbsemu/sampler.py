@@ -222,7 +222,7 @@ class MarginalTables:
                 self.K3sq[n] = sq
         if self.double:
             self._plan_double()
-        self.width = 0
+        self.B = 0
         self.reset(batch)
 
     def _kmat(self, d: int, uppers, r: int, ncols: int) -> np.ndarray:
@@ -281,10 +281,9 @@ class MarginalTables:
                 t3 = np.array([pos3[jj, ii, n] for ii, jj in zip(i, j)])
                 self.p5[n] = (i + 1, i * (M + 1) + j + 1, j + C[i, 2], t3)
 
-    def reset(self, batch: int | None = None) -> None:
-        """Start a new batch; reallocates only when the width changes."""
-        if batch is not None and batch != self.width:
-            self.width = batch
+    def reset(self, batch: int) -> None:
+        """Start a batch of `batch` samples; reallocates only when the width changes."""
+        if max(batch, 2) != self.B:
             self.B = max(batch, 2)
             for name, shape in self.shapes.items():
                 setattr(self, name, np.zeros(shape + (self.B,)))
@@ -678,17 +677,22 @@ def aux_values_per_sample(M: int, method: str, K: int = 5, aux_orders=None) -> i
 
 
 # float64 table values of one batch (32 MiB).  Measured on a 2-core host
-# (K = 5, double elision), wider batches gain little once the tables pass
-# this size: 1024 at M = 12 and 256 at M = 24 are within noise of the best
-# width and hold less than the previous engine's tables.
+# (scripts/bench_sampler.py, one BLAS thread), the widths it gives are
+# within noise of the best width at M = 12 and 24 (K = 5, double elision)
+# and at M = 64 and 128 (K = 3, single elision).  At M = 48, K = 5 it
+# gives 32, where width 128 runs 1.4x faster with 60 MB more memory.
 _BATCH_VALUES = 1 << 22
 
 
 def _auto_batch(M: int, config: SamplerConfig) -> int:
-    """Widest power-of-two batch whose tables fit in _BATCH_VALUES values."""
+    """Widest power-of-two batch whose tables fit in _BATCH_VALUES values.
+
+    The width is at least 8, so past about M = 70 at K = 5 the tables of
+    one batch exceed _BATCH_VALUES.
+    """
     per_sample = aux_values_per_sample(M, config.method, config.K, config.aux_orders)
-    width = 1 << ((_BATCH_VALUES // per_sample).bit_length() - 1)
-    return min(1024 if config.method == "double_elision" else 4096, max(64, width))
+    width = 1 << (max(1, _BATCH_VALUES // per_sample).bit_length() - 1)
+    return min(1024 if config.method == "double_elision" else 4096, max(8, width))
 
 
 def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: int):

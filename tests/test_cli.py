@@ -162,7 +162,9 @@ def test_sample_roundtrip(tmp_path, capsys, instance_file, table_file):
     assert code == 0
     assert man["n_generated"] == 500
     assert man["n_failed"] == 0 and man["worker_errors"] == []
-    assert man["n_clipped"] >= 0 and man["max_clip_excursion"] >= 0.0
+    # this instance clips no conditional; test_clip_counters covers clipping
+    assert type(man["n_clipped"]) is int and type(man["max_clip_excursion"]) is float
+    assert man["n_clipped"] == 0 and man["max_clip_excursion"] == 0.0
     assert man["throughput_per_s"] > 0
     batch = load_samples(out)
     assert batch.N == 500 and batch.M == 6

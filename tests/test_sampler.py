@@ -451,6 +451,21 @@ def test_aux_memory_budget():
 
 
 @pytest.mark.parametrize(
+    "M,K,method",
+    [(12, 5, "double_elision"), (48, 5, "double_elision"), (144, 5, "double_elision"),
+     (400, 5, "double_elision"), (64, 3, "single_elision"), (128, 3, "single_elision")],
+)
+def test_auto_batch_fits_budget(M, K, method):
+    # a power of two whose tables fit in _BATCH_VALUES, unless held at the floor of 8
+    cfg = sp.SamplerConfig(N=0, K=K, method=method)
+    width = sp._auto_batch(M, cfg)
+    assert width >= 8 and width & (width - 1) == 0
+    per_sample = sp.aux_values_per_sample(M, method, K)
+    assert width == 8 or width * per_sample <= sp._BATCH_VALUES
+    assert width * 2 * per_sample > sp._BATCH_VALUES or width in (1024, 4096)
+
+
+@pytest.mark.parametrize(
     "method,K,aux",
     [("double_elision", 5, (3, 3, 2)), ("double_elision", 4, (2, 2, 1)),
      ("double_elision", 3, (3, 3, 2)), ("single_elision", 3, (2, 2, 0))],
