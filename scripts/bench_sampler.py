@@ -72,7 +72,9 @@ from gbsemu.cumulants import load_table
 kappa = load_table(sys.argv[2])
 K, method, N = int(sys.argv[3]), sys.argv[4], int(sys.argv[5])
 split = dict.fromkeys(sys.argv[6].split(","), 0.0)
-width = int(sys.argv[7]) or None  # 0: the tree's own width
+width = int(sys.argv[7])  # 0: the tree's own width
+if width:
+    sampler._auto_batch = lambda M, config: width
 
 def timed(name, fn):
     def wrapper(self, n):
@@ -85,7 +87,7 @@ def timed(name, fn):
 
 for name in split:
     setattr(sampler.MarginalTables, name, timed(name, getattr(sampler.MarginalTables, name)))
-cfg = sampler.SamplerConfig(N=N, K=K, method=method, seed=1, batch_size=width)
+cfg = sampler.SamplerConfig(N=N, K=K, method=method, seed=1)
 t0 = time.perf_counter()
 batch = sampler.batch_sample(cfg, kappa=kappa)
 wall = time.perf_counter() - t0

@@ -1,0 +1,99 @@
+"""Pipeline outputs of a parent tree against this one, byte for byte.
+
+    python scripts/compare_outputs.py --parent-src ../parent/src --seeds 1,2,3
+
+``--parent-src`` is the ``src/`` directory of the tree to compare against,
+for instance a clone of the parent commit.  Each tree runs gen-instance ->
+precompute -> sample (1 and 2 workers) -> benchmark on every input, each
+command in a fresh interpreter with one BLAS thread, and writes under its
+own directory in ``.bench_build/compare/``.  The inputs are perfbench's
+``deep-k5`` and ``exact-m12`` workloads (M/4 squeezers, eta 0.5, r_max 1.0,
+instance seed 1) and an M=64, K=3 single-elision input; every sampling
+seed gets its own samples and report.  The script prints the SHA-256 of
+every output file in both trees and exits 1 if any file differs or exists
+in one tree only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK = ROOT / ".bench_build" / "compare"
+ETA, RMAX, INSTANCE_SEED = 0.5, 1.0, 1
+# (name, M, K, method, N, report orders)
+INPUTS = (
+    ("deep-k5", 24, 5, "double_elision", 8000, "2,3"),
+    ("exact-m12", 12, 5, "double_elision", 100_000, "2,3"),
+    ("single-m64", 64, 3, "single_elision", 4096, "2"),
+)
+
+_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from gbsemu.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+_ENV = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def cli(src: Path, *argv) -> None:
+    """One gbsemu command in a fresh interpreter; its stdout manifest is dropped."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(src)] + [str(a) for a in argv],
+        capture_output=True, text=True, env=_ENV,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: {argv[0]} exited {proc.returncode}: {proc.stderr[-500:]}")
+
+
+def run_tree(src: Path, work: Path, seeds: list[int]) -> dict[str, str]:
+    """Run every input through one tree; SHA-256 of each output by relative path."""
+    shutil.rmtree(work, ignore_errors=True)
+    for name, M, K, method, N, orders in INPUTS:
+        d = work / name
+        d.mkdir(parents=True)
+        inst, table = d / "inst.json", d / "table.gbsk"
+        cli(src, "gen-instance", "--modes", M, "--squeezers", M // 4, "--eta", ETA,
+            "--rmax", RMAX, "--seed", INSTANCE_SEED, "--out", inst)
+        cli(src, "precompute", "--instance", inst, "--order", K, "--out", table)
+        for seed in seeds:
+            for workers in (1, 2):
+                cli(src, "sample", "--table", table, "--instance", inst, "--method", method,
+                    "--order", K, "--samples", N, "--seed", seed, "--workers", workers,
+                    "--out", d / f"samples_s{seed}_w{workers}.txt")
+            cli(src, "benchmark", "--samples", d / f"samples_s{seed}_w1.txt",
+                "--instance", inst, "--orders", orders, "--seed", seed,
+                "--out", d / f"report_s{seed}")
+        print(f"{src}: {name} done", file=sys.stderr)
+    return {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(work.rglob("*")) if p.is_file()}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent-src", required=True,
+                    help="src/ directory of the tree to compare against")
+    ap.add_argument("--seeds", default="1,2,3", help="comma-separated sampling seeds")
+    args = ap.parse_args()
+    seeds = [int(s) for s in args.seeds.split(",")]
+    parent = run_tree(Path(args.parent_src).resolve(), WORK / "parent", seeds)
+    change = run_tree(ROOT / "src", WORK / "change", seeds)
+    differ = 0
+    for rel in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(rel, "-"), change.get(rel, "-")
+        differ += a != b
+        print(f"{'same' if a == b else 'DIFFERS'}  {a}  {b}  {rel}")
+    print(f"{len(parent.keys() | change.keys())} files, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

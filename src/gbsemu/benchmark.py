@@ -24,8 +24,8 @@ from .cumulants import (
     empirical_correlator_table,
 )
 from .errors import ValidationError
-from .gaussian import GaussianInstance, brute_force_distribution
-from .subsets import subset_rank
+from .gaussian import BRUTE_FORCE_MAX_MODES, GaussianInstance, brute_force_distribution
+from .subsets import dense_rank
 
 DEFAULT_BOOTSTRAP = 100
 
@@ -266,13 +266,16 @@ def cumulant_comparison(inst: GaussianInstance, samples, orders):
         raise ValidationError(f"samples M={arr.shape[1]} does not match instance M={inst.M}")
     if not orders:
         return []
+    if min(orders) < 1:
+        raise ValidationError(f"cumulant orders {orders} must be at least 1")
     K = max(orders)
     theory = click_cumulants_from_cumulants(cumulants_from_correlators(correlator_table(inst, K)))
     estimate = estimate_click_cumulants(arr, K)
     rows = []
     for d in orders:
-        for S in combinations(range(inst.M), d):
-            i = subset_rank(S, inst.M, K)
+        subsets = list(combinations(range(inst.M), d))
+        ranks = dense_rank(np.array(subsets, dtype=np.int64).T, inst.M)
+        for S, i in zip(subsets, ranks.tolist()):
             rows.append({"subset": S, "order": d, "theory": float(theory[i]),
                          "estimate": float(estimate[i]), "se": 0.0})
     return rows
@@ -283,7 +286,6 @@ def build_report(
     samples,
     orders=(2, 3),
     xeb_range=None,
-    max_exact_modes: int = 20,
 ) -> tuple[BenchmarkReport, list[dict]]:
     """Full comparison suite; XEB/TVD are skipped (with a note) beyond desk scale."""
     arr = _as_samples(samples)
@@ -296,7 +298,7 @@ def build_report(
         report.spearman[d] = spearman(theory, est)
         report.slope[d], report.intercept[d] = linear_fit(theory, est)
     hist = total_click_histogram(arr)
-    if inst.M <= max_exact_modes:
+    if inst.M <= BRUTE_FORCE_MAX_MODES:
         dist = brute_force_distribution(inst)
         exact_hist = exact_total_clicks(inst, dist)
         report.clicks = [
@@ -309,7 +311,7 @@ def build_report(
         report.clicks = [{"C": C, "p_emp": float(hist[C]), "p_exact": float("nan")}
                          for C in range(inst.M + 1)]
         report.notes.append(
-            f"M={inst.M} > {max_exact_modes}: XEB and TVD skipped (no exact oracle)"
+            f"M={inst.M} > {BRUTE_FORCE_MAX_MODES}: XEB and TVD skipped (no exact oracle)"
         )
     return report, scatter
 

@@ -204,16 +204,22 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _time_sampling(kappa, config: SamplerConfig, n: int) -> float:
-    """Seconds per sample over n samples, after one discarded warmup batch."""
+def _time_sampling(kappa, config: SamplerConfig) -> float:
+    """Seconds to draw config.N samples, after one discarded warmup batch."""
     warm = SamplerConfig(
-        N=min(4, n), K=config.K, method=config.method, aux_orders=config.aux_orders,
+        N=min(4, config.N), K=config.K, method=config.method, aux_orders=config.aux_orders,
         seed=config.seed, workers=1,
     )
     batch_sample(warm, kappa=kappa)
     t0 = time.perf_counter()
     batch_sample(config, kappa=kappa)
-    return (time.perf_counter() - t0) / max(config.N, 1)
+    return time.perf_counter() - t0
+
+
+def _scaling_instance(M: int, K: int):
+    """The scaling harness's instance at M modes, and the chain method it samples at order K."""
+    inst, _ = random_instance(M, max(1, M // 4), 0.5, 1.0, seed=1234 + M)
+    return inst, "single_elision" if K <= 3 else "double_elision"
 
 
 def _time_phase2(inst, K: int):
@@ -240,16 +246,15 @@ def cmd_scaling(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for K in orders:
-        method = "single_elision" if K <= 3 else "double_elision"
         for M in modes:
-            inst, _ = random_instance(M, max(1, M // 4), 0.5, 1.0, seed=1234 + M)
+            inst, method = _scaling_instance(M, K)
             t1 = time.perf_counter()
             for d in range(1, K + 1):
                 partition_patterns(d)
             t_phase1 = time.perf_counter() - t1
             t_phase2, ktab = _time_phase2(inst, K)
             cfg = SamplerConfig(N=args.samples_per_point, K=K, method=method, seed=7)
-            t_sample = _time_sampling(ktab, cfg, args.samples_per_point)
+            t_sample = _time_sampling(ktab, cfg) / max(cfg.N, 1)
             rows.append(
                 {"M": M, "K": K, "t_phase1": t_phase1, "t_phase2": t_phase2,
                  "t_per_sample": t_sample}
@@ -274,18 +279,12 @@ def cmd_scaling(args) -> int:
     outputs = [str(times_csv)]
     throughput_rows = []
     if worker_counts:
-        M = args.throughput_modes
         K = orders[0]
-        method = "single_elision" if K <= 3 else "double_elision"
-        inst, _ = random_instance(M, max(1, M // 4), 0.5, 1.0, seed=1234 + M)
+        inst, method = _scaling_instance(args.throughput_modes, K)
         ktab = cumulants_from_correlators(correlator_table(inst, K))
         for w in worker_counts:
             cfg = SamplerConfig(N=args.samples_per_point, K=K, method=method, seed=7, workers=w)
-            batch_sample(SamplerConfig(N=4, K=K, method=method, seed=7), kappa=ktab)
-            t1 = time.perf_counter()
-            batch_sample(cfg, kappa=ktab)
-            dt = time.perf_counter() - t1
-            throughput_rows.append({"workers": w, "throughput": args.samples_per_point / dt})
+            throughput_rows.append({"workers": w, "throughput": cfg.N / _time_sampling(ktab, cfg)})
         tp_csv = outdir / "throughput.csv"
         with open(tp_csv, "w") as fh:
             fh.write("workers,throughput\n")

@@ -15,14 +15,20 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError, ResourceGuardError, ValidationError
 from .gaussian import GaussianInstance, reduce_modes, vacuum_overlap
-from .subsets import order_offset, partition_patterns, subset_rank, table_size
+from .subsets import (
+    colex_chunks,
+    dense_rank,
+    order_offset,
+    partition_patterns,
+    subset_rank,
+    table_size,
+)
 
 MAX_ORDER = 6
 DEFAULT_MEM_CAP_BYTES = 8 << 30
@@ -132,16 +138,17 @@ def correlator_table(
     values = np.empty(count)
     for d in range(1, K + 1):
         base = order_offset(M, d)
-        for start, rows in _colex_chunks(M, d):
+        for start, rows in colex_chunks(M, d, _CHUNK_ROWS):
             values[base + start : base + start + rows.shape[0]] = _no_click_probabilities(inst, rows)
     for d in range(K, 0, -1):
         base = order_offset(M, d)
-        for start, rows in _colex_chunks(M, d):
+        for start, rows in colex_chunks(M, d, _CHUNK_ROWS):
             # every gather, own span included, happens before the span is overwritten
             total = np.ones(rows.shape[0])
             for r in range(1, d + 1):
                 ranks = np.stack(
-                    [_block_ranks(rows, R, M) for R in combinations(range(d), r)], axis=1
+                    [dense_rank([rows[:, p] for p in R], M) for R in combinations(range(d), r)],
+                    axis=1,
                 )
                 total += (-2.0) ** r * values[ranks].sum(axis=1)
             values[base + start : base + start + rows.shape[0]] = (-1.0) ** d * total
@@ -169,7 +176,7 @@ def empirical_correlator_table(samples, K: int) -> SubsetTable:
     values = np.empty(table_size(M, K))
     for d in range(1, K + 1):
         base = order_offset(M, d)
-        for start, rows in _colex_chunks(M, d, rows_cap):
+        for start, rows in colex_chunks(M, d, rows_cap):
             bits = packed[rows[:, 0]]
             for j in range(1, d):
                 bits ^= packed[rows[:, j]]
@@ -211,43 +218,6 @@ def _mem_cap(explicit: int | None) -> int:
     return int(env) if env else DEFAULT_MEM_CAP_BYTES
 
 
-@lru_cache(maxsize=16)
-def _binomials(M: int) -> np.ndarray:
-    """comb(c, j) as an int64 array indexed [j, c], for j <= MAX_ORDER and c < M."""
-    out = np.array([[comb(c, j) for c in range(M)] for j in range(MAX_ORDER + 1)], dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
-def _block_ranks(idx: np.ndarray, block: tuple[int, ...], M: int) -> np.ndarray:
-    """Dense table offsets of {subset[pos] for pos in block} per subset row."""
-    binom = _binomials(M)
-    rank = np.full(idx.shape[0], order_offset(M, len(block)), dtype=np.int64)
-    for j, pos in enumerate(block):
-        rank += binom[j + 1][idx[:, pos]]
-    return rank
-
-
-def _colex_chunks(M: int, d: int, chunk_rows: int | None = None):
-    """Yield (colex start, rows) over all order-d subsets of range(M).
-
-    Each rows array holds up to chunk_rows (default _CHUNK_ROWS)
-    consecutive subsets in colex order, one strictly increasing row per
-    subset.
-    """
-    binom = _binomials(M)
-    n = comb(M, d)
-    chunk_rows = chunk_rows or _CHUNK_ROWS
-    for start in range(0, n, chunk_rows):
-        rank = np.arange(start, min(start + chunk_rows, n), dtype=np.int64)
-        rows = np.empty((rank.size, d), dtype=np.int64)
-        for j in range(d - 1, -1, -1):
-            # largest c with comb(c, j + 1) <= rank
-            rows[:, j] = np.searchsorted(binom[j + 1], rank, side="right") - 1
-            rank -= binom[j + 1][rows[:, j]]
-        yield start, rows
-
-
 def _partition_transform(table: SubsetTable, use_weights: bool, kind: str) -> SubsetTable:
     M, K = table.M, table.K
     src = table.values
@@ -255,12 +225,12 @@ def _partition_transform(table: SubsetTable, use_weights: bool, kind: str) -> Su
     out[:M] = src[:M]
     for d in range(2, K + 1):
         base = order_offset(M, d)
-        for start, rows in _colex_chunks(M, d):
+        for start, rows in colex_chunks(M, d, _CHUNK_ROWS):
             acc = np.zeros(rows.shape[0])
             for pat in partition_patterns(d):
                 prod = np.ones(rows.shape[0])
                 for block in pat.blocks:
-                    prod *= src[_block_ranks(rows, block, M)]
+                    prod *= src[dense_rank([rows[:, p] for p in block], M)]
                 acc += (pat.weight if use_weights else 1.0) * prod
             out[base + start : base + start + rows.shape[0]] = acc
     return SubsetTable(M=M, K=K, values=out, kind=kind)

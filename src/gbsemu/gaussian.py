@@ -151,17 +151,6 @@ def vacuum_instance(M: int, hbar: float = DEFAULT_HBAR) -> GaussianInstance:
     return GaussianInstance(sigma=(hbar / 2.0) * np.eye(2 * M), hbar=hbar)
 
 
-def clicks(bits) -> int:
-    """Number of clicks in an outcome."""
-    return int(np.sum(np.asarray(bits)))
-
-
-def parity(bits, subset) -> int:
-    """(-1)^(sum of bits over subset); +1 for the empty subset."""
-    bits = np.asarray(bits)
-    return 1 - 2 * (int(sum(int(bits[k]) for k in subset)) & 1)
-
-
 def build_input_covariance(r, hbar: float = DEFAULT_HBAR) -> GaussianInstance:
     """Covariance of k two-mode squeezers feeding modes (2j, 2j+1).
 

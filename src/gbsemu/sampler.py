@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -39,11 +39,10 @@ import numpy as np
 
 from .errors import ResourceGuardError, ValidationError
 from .cumulants import SubsetTable
-from .gaussian import GaussianInstance, brute_force_distribution
-from .subsets import pair_rank, subset_rank
+from .gaussian import BRUTE_FORCE_MAX_MODES, GaussianInstance, brute_force_distribution
+from .subsets import binomials, dense_rank, order_offset, subset_rank
 
 METHODS = ("single_elision", "double_elision", "exact_reference")
-EXACT_REFERENCE_MAX_MODES = 20
 
 _DEFAULT_AUX = {"single_elision": (2, 2, 0), "double_elision": (3, 3, 2)}
 
@@ -59,7 +58,6 @@ class SamplerConfig:
     seed: int = 0
     workers: int = 1
     clamp_epsilon: float = 0.0
-    batch_size: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -98,14 +96,6 @@ class SampleBatch:
     max_clip_excursion: float = 0.0
     # "<exception type>: <message>" of each worker chunk that raised
     worker_errors: list[str] = field(default_factory=list)
-
-
-def gamma(kappa: SubsetTable, subset, bits) -> float:
-    """kappa(subset) times the parity of the realized bits over the subset."""
-    subset = tuple(sorted(int(k) for k in subset))
-    bits = np.asarray(bits, dtype=int)
-    sign = 1 - 2 * (int(bits[list(subset)].sum()) & 1)
-    return kappa.value(subset) * sign
 
 
 _STREAM_BLOCK = 64
@@ -205,12 +195,10 @@ class MarginalTables:
         self.kv = kappa.values
         M = self.M
         self.double = config.method == "double_elision"
-        self.C = np.array([[comb(n, k) for k in range(7)] for n in range(M + 2)], dtype=np.int64)
-        self.off = {d: sum(comb(M, j) for j in range(1, d)) for d in range(1, self.K + 1)}
-        self.IDX2 = np.array(
-            [[pair_rank(i, j) if i != j else 0 for j in range(M)] for i in range(M)],
-            dtype=np.int64,
-        )
+        self.C = binomials(M).T  # C[n, k] = comb(n, k)
+        # k2[n][j] = kappa({j, n}) for j < n
+        bounds = dense_rank([np.arange(M + 1)], M, start=1).tolist()
+        self.k2 = [self.kv[bounds[n] : bounds[n + 1]] for n in range(M)]
         self.shapes = _table_shapes(M, self.K, config.method, config.aux_orders)
         # K3sq[n][j, i] = kappa({j, i, n}) for j < i < n, 0 elsewhere
         self.K3sq = {}
@@ -218,7 +206,7 @@ class MarginalTables:
             for n in range(2, M):
                 j, i = np.triu_indices(n, 1)
                 sq = np.zeros((n, n))
-                sq[j, i] = self.kv[self.off[3] + self.C[n, 3] + self.IDX2[j, i]]
+                sq[j, i] = self.kv[dense_rank((j, i, n), M)]
                 self.K3sq[n] = sq
         if self.double:
             self._plan_double()
@@ -228,8 +216,7 @@ class MarginalTables:
     def _kmat(self, d: int, uppers, r: int, ncols: int) -> np.ndarray:
         """kappa({lower r-subset of colex rank c} + uppers[row]) as a (rows, ncols) array."""
         up = np.asarray(uppers, dtype=np.int64).reshape(-1, d - r)
-        base = self.off[d] + sum(self.C[up[:, k], r + k + 1] for k in range(d - r))
-        return self.kv[base[:, None] + np.arange(ncols)]
+        return self.kv[dense_rank(up.T, self.M, start=r)[:, None] + np.arange(ncols)]
 
     def _plan_double(self) -> None:
         """kappa relayouts for the row contractions and the per-step gathers."""
@@ -258,7 +245,10 @@ class MarginalTables:
                 rows = [(h, i, m) for i in range(h + 1, M - 1) for m in range(i + 1, M)]
                 self.kt3[h] = (base3[h], self._kmat(5, rows, 2, npair))
             if "V1" in sh or "V2" in sh:
-                sq = C[h, 3] + self.IDX2[:h, :h]
+                # q2 row h-1 holds the pair {x, o} at the colex rank of {x, o, h}
+                x = np.arange(h)
+                pair = (np.minimum.outer(x, x), np.maximum.outer(x, x), h)
+                sq = dense_rank(pair, M) - order_offset(M, 3)
                 sq[np.diag_indices(h)] = zero_q2
                 self.sidx[h] = sq
             if "V1" in sh:
@@ -307,11 +297,6 @@ class MarginalTables:
     def _k1(self, n: int) -> float:
         return float(self.kv[n])
 
-    def _kblk(self, d: int, n: int) -> np.ndarray:
-        """Order-d values of all subsets {... , n} with n as top element."""
-        start = self.off[d] + self.C[n, d]
-        return self.kv[start : start + self.C[n, d - 1]]
-
     # -- p-step --------------------------------------------------------------
 
     def step_probability_zero(self, n: int) -> np.ndarray:
@@ -320,7 +305,7 @@ class MarginalTables:
         out = 0.5 * (1.0 + self._k1(n)) * self.pref[n]
         if n == 0 or self.K < 2:
             return out
-        g2 = self._kblk(2, n)[:, None] * s[:n]
+        g2 = self.k2[n][:, None] * s[:n]
         out += 0.25 * np.einsum("ib,ib->b", g2, self.q1[n - 1, :n])
         if self.K < 3 or n < 2:
             return out
@@ -351,7 +336,7 @@ class MarginalTables:
         val = a * P[n, :n]
         if order >= 2:
             up = P[n, 1 : n + 1]
-            c = 0.25 * (self._kblk(2, n)[:, None] * s[:n] * s[n]) * up
+            c = 0.25 * (self.k2[n][:, None] * s[:n] * s[n]) * up
             if order >= 3 and n >= 2:
                 # w[j] = sum_{i > j} gamma(j, i, n) * up[i] * marginal(j+1 .. i-1)
                 w = np.einsum("ji,ib,ijb->jb", self.K3sq[n], s[:n] * up, P[:n, 1 : n + 1])
@@ -378,7 +363,7 @@ class MarginalTables:
                 val += 0.125 * s[n] * acc
         elif order >= 2:
             # q1[t, i] is 0 for i > t, which bounds both sums
-            g2 = (self._kblk(2, n)[:, None] * s[:n]) * s[n]
+            g2 = (self.k2[n][:, None] * s[:n]) * s[n]
             q1 = self.q1[: n - 1, : n - 1]
             val[1:] += 0.25 * up[1:] * np.einsum("ib,eib->eb", g2[: n - 1], q1)
             val[: n - 1] += 0.25 * np.einsum("ib,ieb->eb", (g2 * up)[1:], q1)
@@ -402,7 +387,7 @@ class MarginalTables:
                 v1, e1 = self.v1pairs[n]
                 acc = self.P[n][e1] * s[n] * self.V1[v1]
                 # i > e: split above i, pair {d, e} survives in row i-1
-                w = (self._kblk(2, n)[:, None] * s[:n]) * s[n] * up
+                w = (self.k2[n][:, None] * s[:n]) * s[n] * up
                 for i in range(2, n):
                     m = C[i, 2]
                     np.multiply(self.q2_row(i - 1), w[i], out=self.work[:m])
@@ -708,7 +693,7 @@ def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: in
     excursion = 0.0
     aborted = np.zeros(n, dtype=bool)
     if _fast_supported(config):
-        B = config.batch_size or _auto_batch(M, config)
+        B = _auto_batch(M, config)
         tables = None
         for s0 in range(0, n, B):
             b = min(B, n - s0)
@@ -753,16 +738,10 @@ def sample_one(kappa: SubsetTable, config: SamplerConfig, index: int = 0) -> np.
     return bits[0]
 
 
-def sample_single_elision(kappa: SubsetTable, config: SamplerConfig, index: int = 0) -> np.ndarray:
-    """Single-elision variant of :func:`sample_one` (order-3 recursion set)."""
-    cfg = replace(config, method="single_elision", K=min(config.K, 3), aux_orders=(2, 2, 0))
-    return sample_one(kappa, cfg, index)
-
-
 def exact_reference_sampler(inst: GaussianInstance, config: SamplerConfig) -> SampleBatch:
     """Inverse-CDF draws from the exact distribution (M <= 20)."""
     M = inst.M
-    if M > EXACT_REFERENCE_MAX_MODES:
+    if M > BRUTE_FORCE_MAX_MODES:
         raise ResourceGuardError(f"exact reference sampler refused for M={M}")
     t0 = time.perf_counter()
     cdf = np.cumsum(brute_force_distribution(inst))

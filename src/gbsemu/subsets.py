@@ -6,14 +6,17 @@ concatenated (order 1 first), and within an order subsets are ranked
 colexicographically (combinatorial number system).  Colex ranking has the
 property that subsets drawn from {0..m-1} occupy a contiguous prefix of the
 order-d block, and subsets sharing a fixed largest element are contiguous;
-both properties are relied on heavily by the sampler's inner loops.
+both properties are relied on heavily by the sampler's inner loops.  This
+module is the only one that ranks or unranks subsets in that layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -22,24 +25,15 @@ BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 MAX_PARTITION_ORDER = 6
 
 
-def colex_rank(subset) -> int:
-    """Colex rank of a strictly increasing index tuple."""
-    return sum(comb(c, j + 1) for j, c in enumerate(subset))
-
-
-def colex_unrank(rank: int, d: int) -> tuple[int, ...]:
-    """Inverse of :func:`colex_rank` for subsets of size d."""
-    out = [0] * d
-    r = rank
-    while d > 0:
-        # Largest n with comb(n, d) <= r.
-        n = d - 1
-        while comb(n + 1, d) <= r:
-            n += 1
-        r -= comb(n, d)
-        d -= 1
-        out[d] = n
-    return tuple(out)
+@lru_cache(maxsize=16)
+def binomials(n: int) -> np.ndarray:
+    """comb(c, j) as a read-only int64 array indexed [j, c], for j <= 6 and c <= n."""
+    out = np.array(
+        [[comb(c, j) for c in range(n + 1)] for j in range(MAX_PARTITION_ORDER + 1)],
+        dtype=np.int64,
+    )
+    out.setflags(write=False)
+    return out
 
 
 def order_offset(M: int, d: int) -> int:
@@ -52,6 +46,39 @@ def table_size(M: int, K: int) -> int:
     return sum(comb(M, d) for d in range(1, K + 1))
 
 
+def dense_rank(cols, M: int, start: int = 0):
+    """Dense offsets of subsets given column by column; columns broadcast.
+
+    cols[k] holds element start + k of each strictly increasing subset, so
+    the order is start + len(cols).  The first start elements are taken to
+    be {0..start-1}, of colex rank 0: adding c < comb(cols[0], start) gives
+    the subset whose first start elements have colex rank c.
+    """
+    binom = binomials(M)
+    rank = order_offset(M, start + len(cols))
+    for j, col in enumerate(cols, start + 1):
+        rank = rank + binom[j][col]
+    return rank
+
+
+def colex_chunks(M: int, d: int, chunk_rows: int):
+    """Yield (colex start, rows) over all order-d subsets of range(M).
+
+    Each rows array holds up to chunk_rows consecutive subsets in colex
+    order, one strictly increasing row per subset.
+    """
+    binom = binomials(M)
+    n = comb(M, d)
+    for start in range(0, n, chunk_rows):
+        rank = np.arange(start, min(start + chunk_rows, n), dtype=np.int64)
+        rows = np.empty((rank.size, d), dtype=np.int64)
+        for j in range(d - 1, -1, -1):
+            # largest c with comb(c, j + 1) <= rank
+            rows[:, j] = np.searchsorted(binom[j + 1], rank, side="right") - 1
+            rank -= binom[j + 1][rows[:, j]]
+        yield start, rows
+
+
 def subset_rank(subset, M: int, K: int) -> int:
     """Dense offset of a subset in the order-then-colex layout."""
     d = len(subset)
@@ -62,26 +89,7 @@ def subset_rank(subset, M: int, K: int) -> int:
         if not prev < i < M:
             raise ValidationError(f"subset {subset!r} not strictly increasing in [0, {M})")
         prev = i
-    return order_offset(M, d) + colex_rank(subset)
-
-
-def subset_unrank(offset: int, M: int, K: int) -> tuple[int, ...]:
-    """Inverse of :func:`subset_rank`."""
-    if offset < 0 or offset >= table_size(M, K):
-        raise ValidationError(f"offset {offset} out of range for M={M}, K={K}")
-    for d in range(1, K + 1):
-        block = comb(M, d)
-        start = order_offset(M, d)
-        if offset < start + block:
-            return colex_unrank(offset - start, d)
-    raise AssertionError("unreachable")
-
-
-def pair_rank(i: int, j: int) -> int:
-    """Colex rank of the pair {i, j}, i != j."""
-    if i > j:
-        i, j = j, i
-    return i + comb(j, 2)
+    return int(dense_rank(subset, M))
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,6 @@ class PartitionPattern:
 
     blocks: tuple[tuple[int, ...], ...]
     weight: float
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
 
 
 @lru_cache(maxsize=None)
@@ -113,17 +117,10 @@ def partition_patterns(d: int) -> tuple[PartitionPattern, ...]:
     out = []
     for blocks in _partitions(tuple(range(d))):
         k = len(blocks)
-        w = float((-1) ** (k - 1)) * _factorial(k - 1)
+        w = float((-1) ** (k - 1) * factorial(k - 1))
         out.append(PartitionPattern(blocks=blocks, weight=w))
     assert len(out) == BELL[d]
     return tuple(out)
-
-
-def _factorial(n: int) -> float:
-    out = 1.0
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _partitions(items: tuple[int, ...]):

@@ -282,6 +282,11 @@ def test_comparison_rejects_mode_count_mismatch(inst6):
         bm.cumulant_comparison(inst6, np.zeros((10, 5), dtype=np.uint8), orders=(2,))
 
 
+def test_comparison_rejects_order_below_one(inst6):
+    with pytest.raises(ValidationError):
+        bm.cumulant_comparison(inst6, np.zeros((10, 6), dtype=np.uint8), orders=(0, 2))
+
+
 def test_report_beyond_desk_scale_skips_xeb_tvd():
     # cumulant statistics still run when no exact oracle exists (M > 20)
     inst, _ = g.random_instance(M=22, k=11, eta=0.6, r_max=1.0, seed=22)

@@ -99,10 +99,20 @@ def test_table_independent_of_chunk_size(monkeypatch):
     inst, _ = g.random_instance(M=9, k=4, eta=0.6, r_max=1.0, seed=21)
     ref = cu.correlator_table(inst, K=4)
     kref = cu.cumulants_from_correlators(ref)
+    caps = []
+    chunks = cu.colex_chunks
+
+    def spy(M, d, chunk_rows):
+        caps.append(chunk_rows)
+        return chunks(M, d, chunk_rows)
+
+    monkeypatch.setattr(cu, "colex_chunks", spy)
     monkeypatch.setattr(cu, "_CHUNK_ROWS", 7)
     small = cu.correlator_table(inst, K=4)
     assert np.array_equal(small.values, ref.values)
     assert np.array_equal(cu.cumulants_from_correlators(small).values, kref.values)
+    # Phase II (8 calls) and the transform (3 calls) both ran at the patched size
+    assert caps == [7] * 11
 
 
 def test_displaced_table_matches_per_subset_calls():
@@ -150,19 +160,19 @@ def test_empirical_table_independent_of_chunk_size(monkeypatch):
     arr = _bit_arrays()["random"]
     ref = cu.empirical_correlator_table(arr, K=4)
     caps = []
-    chunks = cu._colex_chunks
+    chunks = cu.colex_chunks
 
-    def spy(M, d, chunk_rows=None):
+    def spy(M, d, chunk_rows):
         caps.append(chunk_rows)
         return chunks(M, d, chunk_rows)
 
-    monkeypatch.setattr(cu, "_colex_chunks", spy)
+    monkeypatch.setattr(cu, "colex_chunks", spy)
     for limit in (1, 300, 1000):
         monkeypatch.setattr(cu, "_PACKED_CHUNK_BYTES", limit)
         caps.clear()
         assert np.array_equal(cu.empirical_correlator_table(arr, K=4).values, ref.values)
-        # packed bits per chunk: rows times ceil(N / 8) bytes
-        assert all(cap * 126 <= max(limit, 126) for cap in caps)
+        # packed bits per chunk: rows times ceil(N / 8) bytes, one call per order
+        assert len(caps) == 4 and all(cap * 126 <= max(limit, 126) for cap in caps)
 
 
 def test_empirical_table_rejects_bad_input():

@@ -374,14 +374,6 @@ def test_overlap_above_one_rejected():
         g.vacuum_overlap(0.5 * np.eye(2), hbar=2.0)
 
 
-def test_parity_helpers():
-    bits = [1, 0, 1]
-    assert g.parity(bits, ()) == 1
-    assert g.parity(bits, (0, 2)) == 1
-    assert g.parity(bits, (0, 1)) == -1
-    assert g.clicks(bits) == 2
-
-
 def test_overlap_singular_input_rejected():
     sigma = np.diag([-1.0, 1.0])  # sigma + (hbar/2) I singular
     with pytest.raises(NumericalError):

@@ -36,27 +36,6 @@ def independent6():
     return inst, make_tables(inst, 3)
 
 
-# --- gamma ------------------------------------------------------------------
-
-
-def test_gamma_zero_cumulant(independent6):
-    _, ktab = independent6
-    assert sp.gamma(ktab, (0, 2), [0] * 6) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_gamma_all_zero_bits(lossy7):
-    _, ktab = lossy7
-    assert sp.gamma(ktab, (1, 3), [0] * 7) == pytest.approx(ktab.value((1, 3)))
-
-
-def test_gamma_flip_negates(lossy7):
-    _, ktab = lossy7
-    bits = [0] * 7
-    v0 = sp.gamma(ktab, (1, 3), bits)
-    bits[3] = 1
-    assert sp.gamma(ktab, (1, 3), bits) == pytest.approx(-v0)
-
-
 # --- step probability ---------------------------------------------------------
 
 
@@ -310,11 +289,13 @@ def test_worker_error_message_recorded(lossy7, monkeypatch):
     assert batch.n_failed == 32 and batch.N == 96
 
 
-def test_batch_size_invariance(lossy7):
+def test_batch_size_invariance(lossy7, monkeypatch):
     _, ktab = lossy7
-    kw = dict(N=100, K=5, method="double_elision", seed=9)
-    b1 = sp.batch_sample(sp.SamplerConfig(batch_size=7, **kw), kappa=ktab)
-    b2 = sp.batch_sample(sp.SamplerConfig(batch_size=64, **kw), kappa=ktab)
+    cfg = sp.SamplerConfig(N=100, K=5, method="double_elision", seed=9)
+    monkeypatch.setattr(sp, "_auto_batch", lambda M, config: 7)
+    b1 = sp.batch_sample(cfg, kappa=ktab)
+    monkeypatch.setattr(sp, "_auto_batch", lambda M, config: 64)
+    b2 = sp.batch_sample(cfg, kappa=ktab)
     assert np.array_equal(b1.bitstrings, b2.bitstrings)
 
 
@@ -324,20 +305,6 @@ def test_sample_one_matches_batch(lossy7):
     batch = sp.batch_sample(cfg, kappa=ktab)
     for i in range(5):
         assert np.array_equal(sp.sample_one(ktab, cfg, index=i), batch.bitstrings[i])
-
-
-def test_sample_single_elision_wrapper(lossy7):
-    # forces the order-3 recursion set regardless of the configured method
-    _, ktab = lossy7
-    k3 = cu.cumulants_from_correlators(cu.correlator_table(g.vacuum_instance(7), K=3))
-    cfg = sp.SamplerConfig(N=1, K=5, method="double_elision", seed=9)
-    bits = sp.sample_single_elision(k3, cfg, index=0)
-    assert not bits.any()
-    direct = sp.sample_one(
-        ktab, sp.SamplerConfig(N=1, K=3, method="single_elision", seed=9), index=0
-    )
-    via_wrapper = sp.sample_single_elision(ktab, sp.SamplerConfig(N=1, K=3, seed=9), index=0)
-    assert np.array_equal(direct, via_wrapper)
 
 
 def test_prefix_monotone_and_conditional_range(lossy7):

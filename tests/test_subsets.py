@@ -1,15 +1,17 @@
 import math
+from itertools import combinations, islice
 
+import numpy as np
 import pytest
 
 from gbsemu.errors import ValidationError
 from gbsemu.subsets import (
     BELL,
-    colex_rank,
-    pair_rank,
+    colex_chunks,
+    dense_rank,
+    order_offset,
     partition_patterns,
     subset_rank,
-    subset_unrank,
     table_size,
 )
 
@@ -25,7 +27,7 @@ def test_first_pair_offset():
     M = 4
     pairs = sorted(
         ((i, j) for j in range(M) for i in range(j)),
-        key=lambda s: colex_rank(s),
+        key=lambda s: s[::-1],  # colex order: compare the largest elements first
     )
     assert pairs[0] == (0, 1)
     assert subset_rank((0, 1), M, 2) == M
@@ -34,10 +36,30 @@ def test_first_pair_offset():
 
 
 def test_rank_unrank_roundtrip():
-    M, K = 6, 4
-    for off in range(table_size(M, K)):
-        S = subset_unrank(off, M, K)
-        assert subset_rank(S, M, K) == off
+    # at most 300 chunks per block: the smaller chunk sizes cover a prefix of the larger blocks
+    for chunk_rows in (1, 7, 4096):
+        for M in (1, 6, 13, 40):
+            for d in range(1, min(6, M) + 1):
+                seen = 0
+                for start, rows in islice(colex_chunks(M, d, chunk_rows), 300):
+                    assert start == seen
+                    assert rows.shape == (min(chunk_rows, math.comb(M, d) - start), d)
+                    assert (rows[:, 0] >= 0).all() and (np.diff(rows, axis=1) > 0).all()
+                    assert (rows[:, -1] < M).all()
+                    ranks = dense_rank(rows.T, M)
+                    assert np.array_equal(ranks, order_offset(M, d) + start + np.arange(len(rows)))
+                    assert subset_rank(tuple(rows[-1].tolist()), M, d) == ranks[-1]
+                    # ranked from element position p: the first p elements add their colex rank
+                    for p in range(1, d):
+                        lower = dense_rank(rows[:, :p].T, M) - order_offset(M, p)
+                        assert np.array_equal(dense_rank(rows[:, p:].T, M, start=p) + lower, ranks)
+                    seen += len(rows)
+                assert seen == min(math.comb(M, d), 300 * chunk_rows)
+    # the unranked rows against an independent colex enumeration
+    for d in range(1, 7):
+        colex = sorted(combinations(range(6), d), key=lambda s: s[::-1])
+        rows = np.concatenate([r for _, r in colex_chunks(6, d, 7)])
+        assert rows.tolist() == [list(S) for S in colex]
 
 
 def test_rank_errors():
@@ -47,16 +69,6 @@ def test_rank_errors():
         subset_rank((0, 5), 5, 3)
     with pytest.raises(ValidationError):
         subset_rank((0, 1, 2, 3), 5, 3)
-    with pytest.raises(ValidationError):
-        subset_unrank(table_size(5, 3), 5, 3)
-
-
-def test_pair_rank_matches_subset_rank():
-    M = 7
-    for j in range(M):
-        for i in range(j):
-            assert pair_rank(i, j) == subset_rank((i, j), M, 2) - M
-            assert pair_rank(j, i) == pair_rank(i, j)
 
 
 def test_bell_counts():
