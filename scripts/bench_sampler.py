@@ -2,19 +2,17 @@
 
     python scripts/bench_sampler.py --parent-src ../parent/src --out BENCH_sampler.json
 
-``--parent-src`` is the ``src/`` directory of the tree to compare against,
-for instance a clone of the parent commit.  For each point the instance is
-the one the ``scaling`` command builds (M/4 squeezers, eta 0.5, r_max 1.0,
-seed 1234 + M); its cumulant table is built once by this tree and cached
-under ``.bench_build/``.  Every measurement runs in a fresh interpreter
-with one BLAS thread and draws N samples (seed 1) with ``batch_sample`` on
-one worker at the tree's own batch width.  The four ``MarginalTables``
-layers (p-step, q1, q2, pp) are timed by wrapping their methods.  Each
-point runs the same number of parent/change pairs; which tree runs first
-alternates from pair to pair.  The output records each run, the medians
-and quartiles of samples/s, the median per-layer seconds, the peak RSS of
-each tree, the number of pairs in which the change was faster, and
-whether the two trees drew the same bitstrings.
+For each point the instance is the one the ``scaling`` command builds (M/4
+squeezers, eta 0.5, r_max 1.0, seed 1234 + M); its cumulant table is built
+once by this tree and cached under ``.bench_build/``.  Every measurement
+draws N samples (seed 1) with ``batch_sample`` on one worker at the tree's
+own batch width, in a child run as ``pairs.py`` runs it.  The four
+``MarginalTables`` layers (p-step, q1, q2, pp) are timed by wrapping their
+methods.  Each point runs the same number of alternating parent/change
+pairs.  The output records each run, the medians and quartiles of
+samples/s, the median per-layer seconds, the peak RSS of each tree, the
+number of pairs in which the change was faster, and whether the two trees
+drew the same bitstrings.
 
 A second part (``widths``) runs this tree alone at fixed batch widths,
 WIDTH_RUNS runs per width, and records samples/s and peak RSS at each
@@ -23,17 +21,13 @@ width next to the width ``_auto_batch`` picks.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-CACHE = ROOT / ".bench_build" / "sampler"
+import pairs
+
+CACHE = pairs.ROOT / ".bench_build" / "sampler"
 PAIRS = 5
 # (M, K, method, N): N keeps one parent run to a few seconds
 POINTS = (
@@ -55,8 +49,6 @@ WIDTH_POINTS = (
 LAYERS = ("step_probability_zero", "update_p1", "update_p2", "update_p_plus")
 
 _BUILD = """
-import sys
-sys.path.insert(0, sys.argv[1])
 from gbsemu.cumulants import correlator_table, cumulants_from_correlators, save_table
 from gbsemu.gaussian import random_instance
 M, K = int(sys.argv[2]), int(sys.argv[3])
@@ -65,8 +57,6 @@ save_table(cumulants_from_correlators(correlator_table(inst, K)), sys.argv[4])
 """
 
 _CHILD = """
-import hashlib, json, resource, sys, time
-sys.path.insert(0, sys.argv[1])
 from gbsemu import sampler
 from gbsemu.cumulants import load_table
 kappa = load_table(sys.argv[2])
@@ -91,59 +81,41 @@ cfg = sampler.SamplerConfig(N=N, K=K, method=method, seed=1)
 t0 = time.perf_counter()
 batch = sampler.batch_sample(cfg, kappa=kappa)
 wall = time.perf_counter() - t0
-print(json.dumps({
-    "samples_per_s": N / wall, "layer_s": split,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    "sha256": hashlib.sha256(batch.bitstrings.tobytes()).hexdigest(),
-}))
+emit(samples_per_s=N / wall, layer_s=split,
+     sha256=hashlib.sha256(batch.bitstrings.tobytes()).hexdigest())
 """
-
-_ENV = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
 def table_path(M: int, K: int) -> Path:
     path = CACHE / f"m{M}_k{K}.gbsk"
     if not path.exists():
         CACHE.mkdir(parents=True, exist_ok=True)
-        argv = [sys.executable, "-c", _BUILD, str(ROOT / "src"), str(M), str(K), str(path)]
-        subprocess.run(argv, env=_ENV, check=True)
+        pairs.run_child(_BUILD, pairs.ROOT / "src", M, K, path)
     return path
 
 
 def run_one(src: Path, table: Path, K: int, method: str, N: int, width: int = 0) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src), str(table), str(K), method, str(N),
-         ",".join(LAYERS), str(width)],
-        capture_output=True, text=True, env=_ENV, check=True,
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def summary(xs: list[float]) -> dict:
-    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median": q2, "q1": q1, "q3": q3}
+    return pairs.measure(_CHILD, src, table, K, method, N, ",".join(LAYERS), width)
 
 
 def width_sweep() -> list[dict]:
     """This tree at each fixed width; the run order reverses every round."""
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(pairs.ROOT / "src"))
     from gbsemu import sampler
 
     rows = []
     for M, K, method, N, widths in WIDTH_POINTS:
         table = table_path(M, K)
-        runs = {w: [] for w in widths}
-        for i in range(WIDTH_RUNS):
-            for w in widths if i % 2 == 0 else widths[::-1]:
-                runs[w].append(run_one(ROOT / "src", table, K, method, N, w))
-                print(f"M={M} K={K} {method} width {w}: "
-                      f"{runs[w][-1]['samples_per_s']:.1f}/s", file=sys.stderr)
+        runs = pairs.run_pairs(
+            {w: w for w in widths}, WIDTH_RUNS,
+            lambda w: run_one(pairs.ROOT / "src", table, K, method, N, w),
+            f"M={M} K={K} {method} width")
         rows.append({
             "M": M, "K": K, "method": method, "N": N, "runs_per_width": WIDTH_RUNS,
             "auto_width": sampler._auto_batch(
                 M, sampler.SamplerConfig(N=0, K=K, method=method)),
             "by_width": [{"width": w,
-                          "samples_per_s": summary([r["samples_per_s"] for r in runs[w]]),
+                          "samples_per_s": pairs.summary([r["samples_per_s"] for r in runs[w]]),
                           "peak_rss_mb": max(r["peak_rss_mb"] for r in runs[w])}
                          for w in widths],
         })
@@ -151,46 +123,30 @@ def width_sweep() -> list[dict]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent-src", required=True,
-                    help="src/ directory of the tree to compare against")
-    ap.add_argument("--out", required=True)
-    args = ap.parse_args()
-    trees = {"parent": Path(args.parent_src).resolve(), "change": ROOT / "src"}
+    args = pairs.parser(__doc__).parse_args()
+    trees = pairs.trees(args)
     rows = []
     for M, K, method, N in POINTS:
         table = table_path(M, K)
-        runs = {label: [] for label in trees}
-        for i in range(PAIRS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for label in order:
-                runs[label].append(run_one(trees[label], table, K, method, N))
-                print(f"M={M} K={K} {method} pair {i} {label}: "
-                      f"{runs[label][-1]['samples_per_s']:.1f}/s", file=sys.stderr)
+        runs = pairs.run_pairs(trees, PAIRS, lambda src: run_one(src, table, K, method, N),
+                               f"M={M} K={K} {method}")
         row = {"M": M, "K": K, "method": method, "N": N, "pairs": PAIRS}
         for label, rs in runs.items():
             row[label] = {
-                "samples_per_s": summary([r["samples_per_s"] for r in rs]),
+                "samples_per_s": pairs.summary([r["samples_per_s"] for r in rs]),
                 "layer_s": {name: statistics.median(r["layer_s"][name] for r in rs)
                             for name in LAYERS},
                 "peak_rss_mb": max(r["peak_rss_mb"] for r in rs),
                 "runs": [r["samples_per_s"] for r in rs],
             }
-        matched = list(zip(runs["parent"], runs["change"]))
         row["speedup"] = (row["change"]["samples_per_s"]["median"]
                           / row["parent"]["samples_per_s"]["median"])
-        row["wins"] = sum(c["samples_per_s"] > p["samples_per_s"] for p, c in matched)
-        row["bits_identical"] = len({r["sha256"] for rs in runs.values() for r in rs}) == 1
+        row["wins"] = pairs.wins(runs, "samples_per_s", higher=True)
+        row["bits_identical"] = pairs.identical(runs)
         rows.append(row)
-    result = {
-        "what": "batch_sample samples/s and per-layer seconds, one process per run, "
-                "one worker, one BLAS thread, alternating parent/change pairs",
-        "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                 "machine": platform.machine()},
-        "points": rows,
-        "widths": width_sweep(),
-    }
-    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    pairs.write(args.out, "batch_sample samples/s and per-layer seconds, one process per run, "
+                "one worker, one BLAS thread, alternating parent/change pairs", rows,
+                widths=width_sweep())
     return 0
 
 

@@ -2,30 +2,26 @@
 
     python scripts/compare_outputs.py --parent-src ../parent/src --seeds 1,2,3
 
-``--parent-src`` is the ``src/`` directory of the tree to compare against,
-for instance a clone of the parent commit.  Each tree runs gen-instance ->
-precompute -> sample (1 and 2 workers) -> benchmark on every input, each
-command in a fresh interpreter with one BLAS thread, and writes under its
-own directory in ``.bench_build/compare/``.  The inputs are perfbench's
-``deep-k5`` and ``exact-m12`` workloads (M/4 squeezers, eta 0.5, r_max 1.0,
-instance seed 1) and an M=64, K=3 single-elision input; every sampling
-seed gets its own samples and report.  The script prints the SHA-256 of
-every output file in both trees and exits 1 if any file differs or exists
-in one tree only.
+Each tree runs gen-instance -> precompute -> sample (1 and 2 workers) ->
+benchmark on every input, each command in a fresh interpreter with one
+BLAS thread, and writes under its own directory in
+``.bench_build/compare/``.  The inputs are perfbench's ``deep-k5`` and
+``exact-m12`` workloads (M/4 squeezers, eta 0.5, r_max 1.0, instance seed
+1) and an M=64, K=3 single-elision input; every sampling seed gets its own
+samples and report.  The script prints the SHA-256 of every output file in
+both trees and exits 1 if any file differs or exists in one tree only.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import os
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-WORK = ROOT / ".bench_build" / "compare"
+import pairs
+
+WORK = pairs.ROOT / ".bench_build" / "compare"
 ETA, RMAX, INSTANCE_SEED = 0.5, 1.0, 1
 # (name, M, K, method, N, report orders)
 INPUTS = (
@@ -35,23 +31,14 @@ INPUTS = (
 )
 
 _CHILD = """
-import sys
-sys.path.insert(0, sys.argv[1])
 from gbsemu.cli import main
 sys.exit(main(sys.argv[2:]))
 """
 
-_ENV = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-
 
 def cli(src: Path, *argv) -> None:
     """One gbsemu command in a fresh interpreter; its stdout manifest is dropped."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src)] + [str(a) for a in argv],
-        capture_output=True, text=True, env=_ENV,
-    )
-    if proc.returncode != 0:
-        raise SystemExit(f"{src}: {argv[0]} exited {proc.returncode}: {proc.stderr[-500:]}")
+    pairs.run_child(_CHILD, src, *argv)
 
 
 def run_tree(src: Path, work: Path, seeds: list[int]) -> dict[str, str]:
@@ -78,14 +65,12 @@ def run_tree(src: Path, work: Path, seeds: list[int]) -> dict[str, str]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent-src", required=True,
-                    help="src/ directory of the tree to compare against")
+    ap = pairs.parser(__doc__, out=False)
     ap.add_argument("--seeds", default="1,2,3", help="comma-separated sampling seeds")
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
-    parent = run_tree(Path(args.parent_src).resolve(), WORK / "parent", seeds)
-    change = run_tree(ROOT / "src", WORK / "change", seeds)
+    parent, change = (run_tree(src, WORK / label, seeds)
+                      for label, src in pairs.trees(args).items())
     differ = 0
     for rel in sorted(parent.keys() | change.keys()):
         a, b = parent.get(rel, "-"), change.get(rel, "-")

@@ -45,6 +45,18 @@ from .subsets import partition_patterns
 _PHASE2_MIN_TIMING_S = 0.5
 
 
+def _int_list(text: str, count: int | None = None) -> tuple[int, ...]:
+    """argparse type: `count` comma-separated integers, or any number of distinct ones."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = None
+    if values is None or len(values) != (count or len(set(values))):
+        need = count or "distinct"
+        raise argparse.ArgumentTypeError(f"need {need} comma-separated integers: {text!r}")
+    return values
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -130,9 +142,8 @@ def cmd_sample(args) -> int:
             raise ValidationError(
                 f"table M={kappa.M} does not match instance M={inst.M}"
             )
-    aux = tuple(int(x) for x in args.aux_orders.split(",")) if args.aux_orders else None
     config = SamplerConfig(
-        N=args.samples, K=args.order, method=args.method, aux_orders=aux,
+        N=args.samples, K=args.order, method=args.method, aux_orders=args.aux_orders,
         seed=args.seed, workers=args.workers, clamp_epsilon=args.clamp_epsilon,
     )
     batch = batch_sample(config, kappa=kappa, inst=inst)
@@ -140,7 +151,7 @@ def cmd_sample(args) -> int:
     cfg = {
         "table": args.table, "instance": args.instance, "method": args.method,
         "order": args.order, "samples": args.samples, "seed": args.seed,
-        "workers": args.workers, "aux_orders": aux, "clamp_epsilon": args.clamp_epsilon,
+        "workers": args.workers, "aux_orders": args.aux_orders, "clamp_epsilon": args.clamp_epsilon,
         "out": args.out,
     }
     inputs = [args.instance] + ([args.table] if args.table else [])
@@ -169,11 +180,9 @@ def cmd_sample(args) -> int:
 def cmd_benchmark(args) -> int:
     t0 = time.perf_counter()
     inst = load_instance(args.instance)
-    orders = [int(x) for x in args.orders.split(",")]
-    xeb_range = None
-    if args.xeb_range:
-        lo, hi = (int(x) for x in args.xeb_range.split(","))
-        xeb_range = range(lo, hi + 1)
+    xeb_range = range(args.xeb_range[0], args.xeb_range[1] + 1) if args.xeb_range else None
+    if xeb_range is not None and len(xeb_range) == 0:
+        raise ValidationError("--xeb-range lo,hi needs lo <= hi")
     outputs = []
     summaries = {}
     for sample_path in args.samples:
@@ -184,7 +193,7 @@ def cmd_benchmark(args) -> int:
             raise ValidationError(
                 f"samples M={batch.M} does not match instance M={inst.M}"
             )
-        report, scatter = build_report(inst, batch.bitstrings, orders=orders, xeb_range=xeb_range)
+        report, scatter = build_report(inst, batch.bitstrings, args.orders, xeb_range)
         outdir = Path(args.out) / Path(sample_path).stem
         outputs.extend(write_report(outdir, report, scatter))
         summaries[str(sample_path)] = {
@@ -193,7 +202,7 @@ def cmd_benchmark(args) -> int:
         }
     cfg = {
         "samples": list(args.samples), "instance": args.instance,
-        "orders": orders, "xeb_range": args.xeb_range, "out": args.out,
+        "orders": args.orders, "xeb_range": args.xeb_range, "out": args.out,
     }
     _emit(
         _manifest(
@@ -239,14 +248,13 @@ def _time_phase2(inst, K: int):
 
 def cmd_scaling(args) -> int:
     t0 = time.perf_counter()
-    orders = [int(x) for x in args.orders.split(",")]
-    modes = [int(x) for x in args.modes.split(",")]
-    worker_counts = [int(x) for x in args.workers.split(",")] if args.workers else []
+    if args.samples_per_point < 1:
+        raise ValidationError("--samples-per-point must be at least 1")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for K in orders:
-        for M in modes:
+    for K in args.orders:
+        for M in args.modes:
             inst, method = _scaling_instance(M, K)
             t1 = time.perf_counter()
             for d in range(1, K + 1):
@@ -254,7 +262,7 @@ def cmd_scaling(args) -> int:
             t_phase1 = time.perf_counter() - t1
             t_phase2, ktab = _time_phase2(inst, K)
             cfg = SamplerConfig(N=args.samples_per_point, K=K, method=method, seed=7)
-            t_sample = _time_sampling(ktab, cfg) / max(cfg.N, 1)
+            t_sample = _time_sampling(ktab, cfg) / cfg.N
             rows.append(
                 {"M": M, "K": K, "t_phase1": t_phase1, "t_phase2": t_phase2,
                  "t_per_sample": t_sample}
@@ -265,7 +273,7 @@ def cmd_scaling(args) -> int:
         for r in rows:
             fh.write(f"{r['M']},{r['K']},{r['t_phase1']!r},{r['t_phase2']!r},{r['t_per_sample']!r}\n")
     slopes = {}
-    for K in orders:
+    for K in args.orders:
         pts = [r for r in rows if r["K"] == K]
         if len(pts) < 2:
             slopes[str(K)] = {"per_sample": float("nan"), "phase2": float("nan"),
@@ -278,11 +286,11 @@ def cmd_scaling(args) -> int:
         }
     outputs = [str(times_csv)]
     throughput_rows = []
-    if worker_counts:
-        K = orders[0]
+    if args.workers:
+        K = args.orders[0]
         inst, method = _scaling_instance(args.throughput_modes, K)
         ktab = cumulants_from_correlators(correlator_table(inst, K))
-        for w in worker_counts:
+        for w in args.workers:
             cfg = SamplerConfig(N=args.samples_per_point, K=K, method=method, seed=7, workers=w)
             throughput_rows.append({"workers": w, "throughput": cfg.N / _time_sampling(ktab, cfg)})
         tp_csv = outdir / "throughput.csv"
@@ -292,8 +300,8 @@ def cmd_scaling(args) -> int:
                 fh.write(f"{r['workers']},{r['throughput']!r}\n")
         outputs.append(str(tp_csv))
     cfg = {
-        "orders": orders, "modes": modes, "samples_per_point": args.samples_per_point,
-        "workers": worker_counts, "throughput_modes": args.throughput_modes, "out": args.out,
+        "orders": args.orders, "modes": args.modes, "samples_per_point": args.samples_per_point,
+        "workers": args.workers, "throughput_modes": args.throughput_modes, "out": args.out,
     }
     _emit(
         _manifest(
@@ -320,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("precompute", help="write correlator and cumulant tables")
     p.add_argument("--instance", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility and ignored: precompute runs in one process")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_precompute)
 
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--aux-orders", dest="aux_orders", default=None,
+    p.add_argument("--aux-orders", dest="aux_orders", type=lambda t: _int_list(t, 3), default=None,
                    help="comma-separated expansion orders for (pp, p1, p2)")
     p.add_argument("--clamp-epsilon", dest="clamp_epsilon", type=float, default=0.0)
     p.add_argument("--out", required=True)
@@ -343,20 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="compare sample files against the ground truth")
     p.add_argument("--samples", nargs="+", required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--orders", default="2,3")
-    p.add_argument("--xeb-range", dest="xeb_range", default=None)
-    p.add_argument("--bootstrap", type=int, default=100,
-                   help="accepted for compatibility and ignored: no bootstrap runs, se is 0")
+    p.add_argument("--orders", type=_int_list, default=(2, 3))
+    p.add_argument("--xeb-range", dest="xeb_range", type=lambda t: _int_list(t, 2), default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility and ignored: the report is deterministic")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("scaling", help="timing harness over a mode grid")
-    p.add_argument("--orders", default="3")
-    p.add_argument("--modes", default="32,48,64")
+    p.add_argument("--orders", type=_int_list, default=(3,))
+    p.add_argument("--modes", type=_int_list, default=(32, 48, 64))
     p.add_argument("--samples-per-point", dest="samples_per_point", type=int, default=16)
-    p.add_argument("--workers", default=None, help="comma-separated worker counts for throughput")
+    p.add_argument("--workers", type=_int_list, default=(),
+                   help="comma-separated worker counts for throughput")
     p.add_argument("--throughput-modes", dest="throughput_modes", type=int, default=64)
     p.add_argument("--precompute-workers", dest="precompute_workers", type=int, default=1,
                    help="accepted for compatibility and ignored: Phase II runs in one process")

@@ -68,8 +68,8 @@ class GaussianInstance:
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
-            raise ValidationError(f"covariance must be 2M x 2M, got {sigma.shape}")
+        if sigma.ndim != 2 or not sigma.size or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
+            raise ValidationError(f"covariance must be 2M x 2M with M >= 1, got {sigma.shape}")
         if not np.isfinite(sigma).all():
             raise ValidationError("covariance has non-finite entries")
         if not 0 < self.hbar < np.inf:
@@ -449,8 +449,8 @@ def random_instance(
     """
     if not 0 < eta <= 1:
         raise ValidationError("eta must lie in (0, 1]")
-    if 2 * k > M:
-        raise ValidationError(f"need 2k <= M, got k={k}, M={M}")
+    if not 1 <= 2 * k <= M:
+        raise ValidationError(f"need 1 <= k and 2k <= M, got k={k}, M={M}; see vacuum_instance")
     if r_max < 0:
         raise ValidationError("r_max must be nonnegative")
     rng = np.random.default_rng(seed)

@@ -227,7 +227,7 @@ def test_benchmark_exact_sampler(tmp_path, capsys, instance_file):
     rep = tmp_path / "rep"
     code, man, _ = run_cli(capsys, "benchmark", "--samples", str(out),
                            "--instance", str(instance_file), "--orders", "2",
-                           "--bootstrap", "10", "--out", str(rep))
+                           "--out", str(rep))
     assert code == 0
     summary = man["summaries"][str(out)]
     assert summary["pearson"]["2"] >= 0.99
@@ -242,7 +242,7 @@ def test_benchmark_xeb_range_flag(tmp_path, capsys, instance_file):
     rep = tmp_path / "rep"
     code, _, _ = run_cli(capsys, "benchmark", "--samples", str(out),
                          "--instance", str(instance_file), "--orders", "2",
-                         "--xeb-range", "0,2", "--bootstrap", "5", "--out", str(rep))
+                         "--xeb-range", "0,2", "--out", str(rep))
     assert code == 0
     lines = (rep / out.stem / "xeb.csv").read_text().splitlines()
     cs = [int(line.split(",")[0]) for line in lines[1:]]
@@ -308,9 +308,50 @@ def test_benchmark_two_sample_files(tmp_path, capsys, instance_file):
         files.append(str(out))
     code, man, _ = run_cli(capsys, "benchmark", "--samples", *files,
                            "--instance", str(instance_file), "--orders", "2",
-                           "--bootstrap", "5", "--out", str(tmp_path / "rep"))
+                           "--out", str(tmp_path / "rep"))
     assert code == 0
     assert set(man["summaries"]) == set(files)
+
+
+_BENCHMARK = ["benchmark", "--samples", "{tmp}/s.txt", "--instance", "{inst}",
+              "--out", "{tmp}/r"]
+_SCALING = ["scaling", "--modes", "8", "--out", "{tmp}/sc"]
+_GEN = ["gen-instance", "--eta", "0.5", "--out", "{tmp}/i.json"]
+
+# (argv, text expected on stderr): each exits 2 before any output is written
+_BAD_ARGV = {
+    "xeb_range_one_value": (_BENCHMARK + ["--xeb-range", "5"], "--xeb-range"),
+    "xeb_range_reversed": (_BENCHMARK + ["--xeb-range", "3,1"], "--xeb-range"),
+    "orders_not_integer": (_BENCHMARK + ["--orders", "2,x"], "--orders"),
+    "orders_repeated": (_BENCHMARK + ["--orders", "2,2"], "--orders"),
+    "benchmark_bootstrap_removed": (_BENCHMARK + ["--bootstrap", "5"], "--bootstrap"),
+    "aux_orders_not_integer": (["sample", "--instance", "{inst}", "--samples", "5",
+                                "--out", "{tmp}/s.txt", "--aux-orders", "2,x"], "--aux-orders"),
+    "aux_orders_two_values": (["sample", "--instance", "{inst}", "--samples", "5",
+                               "--out", "{tmp}/s.txt", "--aux-orders", "2,2"], "--aux-orders"),
+    "modes_not_integer": (["scaling", "--modes", "8,x", "--out", "{tmp}/sc"], "--modes"),
+    "workers_repeated": (_SCALING + ["--workers", "1,1"], "--workers"),
+    "zero_samples_per_point": (_SCALING + ["--samples-per-point", "0"], "--samples-per-point"),
+    "precompute_workers_removed": (["precompute", "--instance", "{inst}", "--order", "2",
+                                    "--out", "{tmp}/t.gbsk", "--workers", "2"], "--workers"),
+    "no_squeezers": (_GEN + ["--modes", "4", "--squeezers", "0"], "k=0"),
+    "negative_squeezers": (_GEN + ["--modes", "4", "--squeezers", "-1"], "k=-1"),
+    "no_modes": (_GEN + ["--modes", "0", "--squeezers", "0"], "M=0"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_ARGV))
+def test_bad_arguments_exit_2(tmp_path, capsys, instance_file, name):
+    argv, expected = _BAD_ARGV[name]
+    argv = [a.format(tmp=tmp_path, inst=instance_file) for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert expected in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
 def test_scaling_single_point_nan_slope(tmp_path, capsys):

@@ -344,6 +344,10 @@ def test_random_instance_guards():
         g.random_instance(M=3, k=2, eta=0.5, r_max=1.0, seed=0)
     with pytest.raises(ValidationError):
         g.random_instance(M=4, k=1, eta=0.0, r_max=1.0, seed=0)
+    with pytest.raises(ValidationError):
+        g.random_instance(M=4, k=0, eta=0.5, r_max=1.0, seed=0)
+    with pytest.raises(ValidationError):
+        g.vacuum_instance(0)
 
 
 def test_instance_file_roundtrip(tmp_path, inst6):
