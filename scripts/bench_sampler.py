@@ -12,7 +12,10 @@ methods.  Each point runs the same number of alternating parent/change
 pairs.  The output records each run, the medians and quartiles of
 samples/s, the median per-layer seconds, the peak RSS of each tree, the
 number of pairs in which the change was faster, and whether the two trees
-drew the same bitstrings.
+drew the same bitstrings.  ``column_share`` is the share of the N * M
+column-steps the change's sampler computed, which shares one table column
+between samples with a common prefix, and ``deferred`` the samples it
+restarted for want of a free column.
 
 A second part (``widths``) runs this tree alone at fixed batch widths,
 WIDTH_RUNS runs per width, and records samples/s and peak RSS at each
@@ -82,7 +85,9 @@ t0 = time.perf_counter()
 batch = sampler.batch_sample(cfg, kappa=kappa)
 wall = time.perf_counter() - t0
 emit(samples_per_s=N / wall, layer_s=split,
-     sha256=hashlib.sha256(batch.bitstrings.tobytes()).hexdigest())
+     sha256=hashlib.sha256(batch.bitstrings.tobytes()).hexdigest(),
+     column_share=getattr(batch, "table_columns", N * kappa.M) / (N * kappa.M),
+     deferred=getattr(batch, "n_deferred", 0))
 """
 
 
@@ -139,6 +144,8 @@ def main() -> int:
                 "peak_rss_mb": max(r["peak_rss_mb"] for r in rs),
                 "runs": [r["samples_per_s"] for r in rs],
             }
+        row["column_share"] = runs["change"][0]["column_share"]
+        row["deferred"] = runs["change"][0]["deferred"]
         row["speedup"] = (row["change"]["samples_per_s"]["median"]
                           / row["parent"]["samples_per_s"]["median"])
         row["wins"] = pairs.wins(runs, "samples_per_s", higher=True)

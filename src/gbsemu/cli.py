@@ -165,6 +165,10 @@ def cmd_sample(args) -> int:
                 "n_flagged": batch.n_flagged,
                 "n_clipped": batch.n_clipped,
                 "max_clip_excursion": batch.max_clip_excursion,
+                "engine": batch.engine,
+                "table_columns": batch.table_columns,
+                "sample_steps": config.N * inst.M,
+                "n_deferred": batch.n_deferred,
                 "per_sample_s": batch.per_sample_mean,
                 "throughput_per_s": (batch.N / batch.wall_time) if batch.wall_time > 0 else 0.0,
                 "aux_values_per_sample": (

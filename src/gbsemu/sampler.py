@@ -96,19 +96,25 @@ class SampleBatch:
     max_clip_excursion: float = 0.0
     # "<exception type>: <message>" of each worker chunk that raised
     worker_errors: list[str] = field(default_factory=list)
+    # "batched" (MarginalTables), "scalar" (ScalarChain) or "exact"
+    engine: str = ""
+    # column-steps the chain computed (N * M without prefix sharing), and
+    # samples deferred for want of a free column and restarted
+    table_columns: int = 0
+    n_deferred: int = 0
 
 
 _STREAM_BLOCK = 64
 
 
-def _stream_uniforms(seed: int, start: int, count: int, M: int) -> np.ndarray:
-    """Uniforms for samples start..start+count-1, shape (count, M).
+def _stream_uniforms(seed: int, start: int, count: int, M: int, out=None) -> np.ndarray:
+    """Uniforms for samples start..start+count-1, shape (count, M), written to `out` if given.
 
     Sample i reads row i mod 64 of the Philox stream keyed (seed, i // 64):
     a pure function of (seed, i, M), so output never depends on how samples
     are chunked over batches or workers.
     """
-    out = np.empty((count, M))
+    out = np.empty((count, M)) if out is None else out
     first = start // _STREAM_BLOCK
     last = (start + count - 1) // _STREAM_BLOCK
     for blk in range(first, last + 1):
@@ -160,15 +166,26 @@ def _table_shapes(M: int, K: int, method: str, aux) -> dict[str, tuple[int, ...]
 
 
 class MarginalTables:
-    """Dynamic-program arena for a batch of B in-flight samples.
+    """Dynamic-program arena whose columns are distinct realized prefixes.
 
-    Every array carries a trailing batch axis, and every contraction runs
-    through ``np.einsum`` or elementwise ufuncs with that axis innermost,
-    so each sample's values do not depend on the batch width or on the
-    other samples.  A batch of one sample runs at width 2 (the column is
-    broadcast), because at width 1 einsum's reductions take a different
+    The conditional at step n and every table entry it reads depend only on
+    the realized prefix s_0..s_{n-1}; the uniforms only choose the next bit.
+    So ``run`` keeps one column per distinct prefix, not one per sample: all
+    samples start in column 0, and when a column's samples draw both bits
+    at step n, the bit-0 samples keep the column and the bit-1 samples move
+    to a new column, a copy of the rows written before step n.  A sample
+    whose new prefix finds no free column (the width ``batch`` is full) is
+    deferred: ``run`` marks it -1, and the caller restarts it later.
+
+    Every array carries a trailing column axis allocated once at the full
+    width; the updates run on views of the live columns, and every
+    contraction runs through ``np.einsum`` or elementwise ufuncs with that
+    axis innermost, so each column's values do not depend on the width, on
+    its position or on the other columns.  At least two columns are
+    computed: with one live prefix the second column follows the all-zero
+    prefix, because at width 1 einsum's reductions take a different
     summation order.  No BLAS call is made: matmul results depend on the
-    batch width.
+    width.
 
     Double elision: the q2 row of step h-1 is final once ``update_p2(h-1)``
     ends, and that call contracts it once with kappa for every later step:
@@ -183,6 +200,9 @@ class MarginalTables:
     gathers planned once per table; only q2's split-above-i term still
     walks the stored rows, because its weight changes with n.
     """
+
+    # per-column outcomes besides the tables and bits
+    _SAMPLE_STATE = ("flagged", "aborted", "n_clipped", "max_clip_excursion")
 
     def __init__(self, kappa: SubsetTable, config: SamplerConfig, batch: int):
         if config.method not in ("single_elision", "double_elision"):
@@ -210,8 +230,23 @@ class MarginalTables:
                 self.K3sq[n] = sq
         if self.double:
             self._plan_double()
+        # full-width arrays are held as _<name>; <name> is the view of the live columns
+        self.W = max(batch, 2)
+        arrays = {name: np.zeros(shape + (self.W,)) for name, shape in self.shapes.items()}
+        arrays.update(
+            bits=np.zeros((M, self.W), dtype=np.uint8), flagged=np.zeros(self.W, dtype=bool),
+            aborted=np.zeros(self.W, dtype=bool), n_clipped=np.zeros(self.W, dtype=np.int64),
+            max_clip_excursion=np.zeros(self.W),
+        )
+        for name, full in arrays.items():
+            setattr(self, "_" + name, full)
+        self._columns = tuple(arrays)
+        diag = np.arange(M + 1)
+        self._P[diag, diag] = 1.0  # empty intervals
+        self._pref[0] = 1.0
+        self._written = self._written_rows()
         self.B = 0
-        self.reset(batch)
+        self._set_width(2)
 
     def _kmat(self, d: int, uppers, r: int, ncols: int) -> np.ndarray:
         """kappa({lower r-subset of colex rank c} + uppers[row]) as a (rows, ncols) array."""
@@ -271,21 +306,46 @@ class MarginalTables:
                 t3 = np.array([pos3[jj, ii, n] for ii, jj in zip(i, j)])
                 self.p5[n] = (i + 1, i * (M + 1) + j + 1, j + C[i, 2], t3)
 
-    def reset(self, batch: int) -> None:
-        """Start a batch of `batch` samples; reallocates only when the width changes."""
-        if max(batch, 2) != self.B:
-            self.B = max(batch, 2)
-            for name, shape in self.shapes.items():
-                setattr(self, name, np.zeros(shape + (self.B,)))
-            diag = np.arange(self.M + 1)
-            self.P[diag, diag] = 1.0  # empty intervals
-            self.pp = self.P[1:]
-            self.bits = np.zeros((self.M, self.B), dtype=np.uint8)
-        self.pref[0] = 1.0
-        self.flagged = np.zeros(self.B, dtype=bool)
-        self.aborted = np.zeros(self.B, dtype=bool)
-        self.n_clipped = np.zeros(self.B, dtype=np.int64)
-        self.max_clip_excursion = np.zeros(self.B)
+    def _written_rows(self) -> dict[str, np.ndarray]:
+        """Leading rows of each column array written before step n, indexed by n.
+
+        The rows past them are written before they are read, so a new column
+        needs only these copied from its parent.  Some ranges also cover
+        rows that are never written; those hold the same value in every
+        column.
+        """
+        M, C = self.M, self.C
+        n = np.arange(M)
+        rows = {"s": n, "bits": n, "pref": n + 1, "P": n + 1, "q1": n}
+        if self.double:
+            t3_end = np.zeros(M, dtype=np.int64)  # end of the T3 block of row h
+            for h, (start, kmat) in self.kt3.items():
+                t3_end[h] = start + len(kmat)
+            rows.update(
+                par2=C[n, 2], q2=C[n + 1, 3], T1=n + 1, T2=n + 1,
+                T3=np.maximum.accumulate(t3_end), V1=self.base1[n],
+                V2=self.base2[np.minimum(n, M - 2)],
+            )
+        return {name: r for name, r in rows.items() if name in self._columns}
+
+    def _set_width(self, width: int) -> None:
+        """Point every column array at its first `width` columns."""
+        if width == self.B:
+            return
+        self.B = width
+        for name in self._columns:
+            setattr(self, name, getattr(self, "_" + name)[..., :width])
+        self.pp = self.P[1:]
+
+    def _fork(self, n: int, parents: np.ndarray, first: int) -> None:
+        """Copy columns `parents`, as they stand before step n, to columns first, first+1, ..."""
+        new = slice(first, first + parents.size)
+        for name, rows in self._written.items():
+            full = getattr(self, "_" + name)
+            full[: rows[n], ..., new] = full[: rows[n], ..., parents]
+        for name in self._SAMPLE_STATE:
+            full = getattr(self, "_" + name)
+            full[new] = full[parents]
 
     def q2_row(self, t: int) -> np.ndarray:
         """q2[t] as a (C(t+1, 2), B) view: pair {d, e}, d < e <= t, at d + C(e, 2)."""
@@ -435,14 +495,31 @@ class MarginalTables:
         self.update_p2(n)
         self.update_p_plus(n)
 
-    def run(self, uniforms: np.ndarray | None, forced: np.ndarray | None = None) -> None:
-        """Run the chain for all M bits; draws from uniforms unless forced.
+    def run(self, uniforms: np.ndarray | None, forced: np.ndarray | None = None) -> np.ndarray:
+        """Run the chain for all M bits of S samples; returns each sample's column.
+
+        Sample i draws bit n as ``uniforms[n, i] >= q0`` of its column, or
+        takes ``forced[n, i]``; both have shape (M, S).  After the run,
+        column c of every table, of ``bits``, ``flagged``, ``aborted``,
+        ``n_clipped`` and ``max_clip_excursion`` holds the results of the
+        samples mapped to c.  A deferred sample maps to -1.
+        ``table_columns`` counts the column-steps computed: the live
+        prefixes summed over the steps.
 
         A conditional p0 / pref outside [0, 1] is clipped; each clip is
         counted in ``n_clipped`` and its distance from [0, 1] kept in
-        ``max_clip_excursion`` (per sample).
+        ``max_clip_excursion`` (per column).
         """
         cfg = self.cfg
+        draws = uniforms if forced is None else forced
+        sample = np.arange(draws.shape[1])  # samples not deferred
+        col = np.zeros(sample.size, dtype=np.int64)
+        self._pref[0] = 1.0
+        for name in self._SAMPLE_STATE:
+            getattr(self, "_" + name)[:] = 0
+        self._set_width(2)
+        self.table_columns = 0
+        live = 1
         for n in range(self.M):
             p0 = self.step_probability_zero(n)
             bad = ~np.isfinite(p0)
@@ -458,19 +535,42 @@ class MarginalTables:
             clipped = excursion > 0.0
             if clipped.any():
                 self.n_clipped += clipped
-                self.max_clip_excursion = np.maximum(
-                    self.max_clip_excursion, np.where(clipped, excursion, 0.0)
-                )
+                np.maximum(self.max_clip_excursion, np.where(clipped, excursion, 0.0),
+                           out=self.max_clip_excursion)
             if dead.any():
                 self.flagged |= dead
                 q0 = np.where(dead, 0.5 * (1.0 + self._k1(n)), q0)
             if cfg.clamp_epsilon > 0.0:
                 q0 = np.clip(q0, cfg.clamp_epsilon, 1.0 - cfg.clamp_epsilon)
-            if forced is not None:
-                bits_n = forced[n].astype(np.uint8)
-            else:
-                bits_n = (uniforms[n] >= q0).astype(np.uint8)
+            drawn = draws[n, sample]
+            one = drawn != 0 if forced is not None else drawn >= q0[col]
+            # drew[b, c]: some sample of column c drew bit b
+            drew = np.zeros((2, live), dtype=bool)
+            drew[one.view(np.uint8), col] = True
+            forks = np.flatnonzero(drew[0] & drew[1])
+            grown = 0
+            if forks.size:
+                # bit-1 samples of a forking column move to a new column, or wait
+                parents = forks[: self.W - live]
+                child = np.full(live, -1, dtype=np.int64)
+                child[parents] = np.arange(live, live + parents.size)
+                col = np.where(one & drew[0][col], child[col], col)
+                if parents.size < forks.size:
+                    stay = col >= 0
+                    sample, col = sample[stay], col[stay]
+                self._fork(n, parents, live)
+                q0 = np.concatenate([q0[:live], q0[parents]])
+                grown = parents.size
+            bits_n = np.zeros(max(live + grown, 2), dtype=np.uint8)
+            bits_n[:live] = drew[1] & ~drew[0]
+            bits_n[live : live + grown] = 1
+            live += grown
+            self._set_width(max(live, 2))
+            self.table_columns += live
             self.advance(n, bits_n, q0)
+        result = np.full(draws.shape[1], -1, dtype=np.int64)
+        result[sample] = col
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +769,15 @@ def aux_values_per_sample(M: int, method: str, K: int = 5, aux_orders=None) -> i
 _BATCH_VALUES = 1 << 22
 
 
+# samples per table run and column.  More samples share more prefixes while
+# the columns last; the deferred rest waits for the next run.  On a 2-core
+# host (one worker), 4, 8 and 16 gave 28, 40 and 50 k samples/s at M = 24,
+# K = 5; at M = 48 (K = 5), 64 and 128 (K = 3, single elision), 16 was
+# within noise of the best value tried from 4 to 32.  A run holds
+# M x 16 x width uniforms.
+_RUN_SAMPLES_PER_COLUMN = 16
+
+
 def _auto_batch(M: int, config: SamplerConfig) -> int:
     """Widest power-of-two batch whose tables fit in _BATCH_VALUES values.
 
@@ -680,41 +789,51 @@ def _auto_batch(M: int, config: SamplerConfig) -> int:
     return min(1024 if config.method == "double_elision" else 4096, max(8, width))
 
 
-def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: int):
-    """Generate samples start..stop-1; returns bits, abort flags and counters.
+# the SampleBatch counters a chunk returns, in order
+_COUNTS = ("n_flagged", "n_clipped", "table_columns", "n_deferred")
 
-    The counters are (flagged samples, clipped conditionals, largest clip
-    excursion).
+
+def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: int):
+    """Generate samples start..stop-1; returns bits, abort flags, counts, excursion.
+
+    The counts follow _COUNTS; the excursion is the largest clip excursion.
+    Each table run takes the samples the previous run deferred, then fresh
+    ones, up to _RUN_SAMPLES_PER_COLUMN per column.
     """
     M = kappa.M
     n = stop - start
     out = np.empty((n, M), dtype=np.uint8)
-    flagged = clipped = 0
+    counts = np.zeros(len(_COUNTS), dtype=np.int64)
     excursion = 0.0
     aborted = np.zeros(n, dtype=bool)
     if _fast_supported(config):
-        B = _auto_batch(M, config)
-        tables = None
-        for s0 in range(0, n, B):
-            b = min(B, n - s0)
-            if tables is None:
-                tables = MarginalTables(kappa, config, batch=b)
-            else:
-                tables.reset(b)
-            u = np.ascontiguousarray(_stream_uniforms(config.seed, start + s0, b, M).T)
-            tables.run(u)
-            out[s0 : s0 + b] = tables.bits[:, :b].T
-            flagged += int(tables.flagged[:b].sum())
-            clipped += int(tables.n_clipped[:b].sum())
-            excursion = max(excursion, float(tables.max_clip_excursion[:b].max()))
-            aborted[s0 : s0 + b] = tables.aborted[:b]
+        tables = MarginalTables(kappa, config, batch=min(_auto_batch(M, config), n))
+        # uniforms of a run: the samples the last run deferred, then fresh ones
+        u = np.empty((M, min(_RUN_SAMPLES_PER_COLUMN * tables.W, n)))
+        idx = np.empty(0, dtype=np.int64)  # offset of the sample in each column of u
+        fresh = 0
+        while fresh < n or idx.size:
+            take = min(u.shape[1] - idx.size, n - fresh)
+            _stream_uniforms(config.seed, start + fresh, take, M,
+                             out=u[:, idx.size : idx.size + take].T)
+            idx = np.concatenate([idx, np.arange(fresh, fresh + take)])
+            fresh += take
+            col = tables.run(u[:, : idx.size])
+            done = col >= 0
+            u[:, : idx.size - done.sum()] = u[:, : idx.size][:, ~done]
+            finished, col, idx = idx[done], col[done], idx[~done]
+            out[finished] = tables.bits[:, col].T
+            aborted[finished] = tables.aborted[col]
+            counts += (tables.flagged[col].sum(), tables.n_clipped[col].sum(),
+                       tables.table_columns, idx.size)
+            excursion = max(excursion, float(tables.max_clip_excursion[col].max()))
     else:
         for t in range(n):
             chain = ScalarChain(kappa, config)
             chain.run(uniforms=_sample_uniforms(config.seed, start + t, M))
             out[t] = chain.bits
-            flagged += int(chain.flagged)
-    return out, aborted, (flagged, clipped, excursion)
+            counts += (chain.flagged, 0, M, 0)
+    return out, aborted, counts, excursion
 
 
 _POOL_STATE: dict = {}
@@ -732,7 +851,7 @@ def _pool_chunk(args):
 
 def sample_one(kappa: SubsetTable, config: SamplerConfig, index: int = 0) -> np.ndarray:
     """Generate the bitstring of sample `index` of the configured stream."""
-    bits, aborted, _ = _chunk_chain(kappa, config, index, index + 1)
+    bits, aborted, *_ = _chunk_chain(kappa, config, index, index + 1)
     if aborted[0]:
         raise ValidationError("sample aborted: non-finite table values")
     return bits[0]
@@ -753,7 +872,7 @@ def exact_reference_sampler(inst: GaussianInstance, config: SamplerConfig) -> Sa
     wall = time.perf_counter() - t0
     return SampleBatch(
         M=M, N=config.N, bitstrings=bits, method="exact_reference", K=0,
-        seed=config.seed, wall_time=wall,
+        seed=config.seed, wall_time=wall, engine="exact",
         per_sample_mean=wall / config.N if config.N else 0.0,
     )
 
@@ -780,14 +899,14 @@ def batch_sample(
     t0 = time.perf_counter()
     bits = np.empty((config.N, M), dtype=np.uint8)
     aborted = np.zeros(config.N, dtype=bool)
-    flagged = clipped = 0
+    counts = np.zeros(len(_COUNTS), dtype=np.int64)
     excursion = 0.0
     worker_errors = []
     if config.N > 0:
         if config.workers <= 1:
-            bits, aborted, (flagged, clipped, excursion) = _chunk_chain(kappa, config, 0, config.N)
+            bits, aborted, counts, excursion = _chunk_chain(kappa, config, 0, config.N)
         else:
-            # two chunks per worker (samples cost the same); chunks batch internally
+            # two chunks per worker; samples share prefixes within a chunk
             chunk = max(32, -(-config.N // (config.workers * 2)))
             tasks = [(s, min(s + chunk, config.N)) for s in range(0, config.N, chunk)]
             with ProcessPoolExecutor(
@@ -798,11 +917,10 @@ def batch_sample(
                 futures = {ex.submit(_pool_chunk, t): t for t in tasks}
                 for fut, (s, e) in futures.items():
                     try:
-                        start, out, ab, (fl, cl, ex) = fut.result()
+                        start, out, ab, cnt, ex = fut.result()
                         bits[start : start + out.shape[0]] = out
                         aborted[start : start + out.shape[0]] = ab
-                        flagged += fl
-                        clipped += cl
+                        counts += cnt
                         excursion = max(excursion, ex)
                     except Exception as exc:
                         worker_errors.append(f"{type(exc).__name__}: {exc}")
@@ -815,8 +933,9 @@ def batch_sample(
         M=M, N=n_ok, bitstrings=bits, method=config.method, K=config.K,
         seed=config.seed, wall_time=wall,
         per_sample_mean=wall / max(n_ok, 1),
-        n_failed=int(config.N - n_ok), n_flagged=flagged, n_clipped=clipped,
-        max_clip_excursion=excursion, worker_errors=worker_errors,
+        n_failed=int(config.N - n_ok), max_clip_excursion=excursion,
+        worker_errors=worker_errors, engine="batched" if _fast_supported(config) else "scalar",
+        **dict(zip(_COUNTS, map(int, counts))),
     )
 
 

@@ -166,8 +166,23 @@ def test_sample_roundtrip(tmp_path, capsys, instance_file, table_file):
     assert type(man["n_clipped"]) is int and type(man["max_clip_excursion"]) is float
     assert man["n_clipped"] == 0 and man["max_clip_excursion"] == 0.0
     assert man["throughput_per_s"] > 0
+    # one table column per distinct prefix: fewer column-steps than N * M
+    assert man["engine"] == "batched" and man["sample_steps"] == 500 * 6
+    assert 0 < man["table_columns"] < man["sample_steps"] and man["n_deferred"] == 0
     batch = load_samples(out)
     assert batch.N == 500 and batch.M == 6
+
+
+@pytest.mark.parametrize("method,order,engine", [
+    ("single_elision", "3", "batched"), ("single_elision", "4", "scalar"),
+    ("double_elision", "5", "batched"), ("exact_reference", "5", "exact"),
+])
+def test_sample_manifest_names_engine(tmp_path, capsys, instance_file, table_file,
+                                      method, order, engine):
+    code, man, _ = run_cli(capsys, "sample", "--table", str(table_file),
+                           "--instance", str(instance_file), "--method", method,
+                           "--order", order, "--samples", "3", "--out", str(tmp_path / "s.txt"))
+    assert code == 0 and man["engine"] == engine
 
 
 def test_sample_vacuum_lines(tmp_path, capsys):

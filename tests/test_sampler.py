@@ -450,18 +450,15 @@ def test_aux_values_count_engine_arrays(lossy7, method, K, aux):
 
 
 def _final_tables(ktab, cfg, width, count):
-    """Bytes of the final pref/pp/q1/q2 of samples 0..count-1 run at `width`."""
+    """Bytes of the final pref/pp/q1/q2 columns of samples 0..count-1, `width` per run."""
     M = ktab.M
-    out, tables = [], None
+    out = []
+    tables = sp.MarginalTables(ktab, cfg, batch=width)
     for s0 in range(0, count, width):
         b = min(width, count - s0)
-        if tables is None:
-            tables = sp.MarginalTables(ktab, cfg, batch=b)
-        else:
-            tables.reset(b)
-        tables.run(np.ascontiguousarray(sp._stream_uniforms(cfg.seed, s0, b, M).T))
+        col = tables.run(np.ascontiguousarray(sp._stream_uniforms(cfg.seed, s0, b, M).T))
         arrays = [tables.pref, tables.pp, tables.q1] + ([tables.q2] if tables.double else [])
-        for c in range(b):
+        for c in col:
             out.append(b"".join(np.ascontiguousarray(a[..., c]).tobytes() for a in arrays))
     return out
 
@@ -478,9 +475,45 @@ def test_tables_independent_of_batch_width(method, K):
     # the width-1 entry points run at width 2 and agree with a wide batch
     bits = np.random.default_rng(5).integers(0, 2, (16, 8)).astype(np.uint8)
     tables = sp.MarginalTables(ktab, cfg, batch=8)
-    tables.run(None, forced=bits)
+    col = tables.run(None, forced=bits)
     for c in range(8):
-        assert sp.chain_joint_probability(ktab, bits[:, c], cfg) == tables.pref[16][c]
+        assert sp.chain_joint_probability(ktab, bits[:, c], cfg) == tables.pref[16][col[c]]
+
+
+@pytest.mark.parametrize("method,K", [("double_elision", 5), ("single_elision", 3)])
+def test_forced_runs_share_prefixes(lossy7, method, K):
+    # every third 7-bit string, plus repeats: one column per distinct prefix
+    _, ktab = lossy7
+    cfg = sp.SamplerConfig(N=0, K=K, method=method)
+    codes = np.r_[np.arange(0, 128, 3), [0, 3, 126]]
+    bits = ((codes[None, :] >> np.arange(6, -1, -1)[:, None]) & 1).astype(np.uint8)
+    tables = sp.MarginalTables(ktab, cfg, batch=codes.size)
+    col = tables.run(None, forced=bits)
+    assert (col >= 0).all() and len(set(col)) == 43
+    assert tables.table_columns < 7 * codes.size
+    for i in range(codes.size):
+        assert tables.pref[7][col[i]] == sp.chain_joint_probability(ktab, bits[:, i], cfg)
+
+
+@pytest.mark.parametrize("method,K", [("double_elision", 5), ("single_elision", 3)])
+def test_deferred_samples_match_wide_run(method, K, monkeypatch):
+    # random cumulants clip many conditionals; at widths 2 and 3 most prefixes
+    # find no free column, so their samples are deferred and restarted
+    from math import comb
+
+    M = 7
+    values = np.random.default_rng(0).uniform(-0.3, 0.3, sum(comb(M, d) for d in range(1, 6)))
+    kappa = cu.SubsetTable(M=M, K=5, values=values, kind="cumulant")
+    cfg = sp.SamplerConfig(N=300, K=K, method=method, seed=1)
+    wide = sp.batch_sample(cfg, kappa=kappa)
+    assert wide.n_deferred == 0 and wide.n_clipped > 0
+    for width in (2, 3):
+        monkeypatch.setattr(sp, "_auto_batch", lambda M, config: width)
+        narrow = sp.batch_sample(cfg, kappa=kappa)
+        assert narrow.n_deferred > cfg.N
+        assert np.array_equal(narrow.bitstrings, wide.bitstrings)
+        for name in ("n_flagged", "n_clipped", "max_clip_excursion", "n_failed"):
+            assert getattr(narrow, name) == getattr(wide, name), name
 
 
 def test_clip_counters():
