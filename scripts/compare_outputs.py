@@ -7,9 +7,12 @@ benchmark on every input, each command in a fresh interpreter with one
 BLAS thread, and writes under its own directory in
 ``.bench_build/compare/``.  The inputs are perfbench's ``deep-k5`` and
 ``exact-m12`` workloads (M/4 squeezers, eta 0.5, r_max 1.0, instance seed
-1) and an M=64, K=3 single-elision input; every sampling seed gets its own
-samples and report.  The script prints the SHA-256 of every output file in
-both trees and exits 1 if any file differs or exists in one tree only.
+1), double-elision inputs at K=3 (M=16) and K=4 (M=20), which fill only
+some parts of the sampler's row contractions, and an M=64, K=3
+single-elision input; every sampling seed gets its own samples and
+report (or, where the report is refused, its exit code and error).  The
+script prints the SHA-256 of every output file in both trees and exits 1
+if any file differs or exists in one tree only.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ ETA, RMAX, INSTANCE_SEED = 0.5, 1.0, 1
 INPUTS = (
     ("deep-k5", 24, 5, "double_elision", 8000, "2,3"),
     ("exact-m12", 12, 5, "double_elision", 100_000, "2,3"),
+    ("double-k3", 16, 3, "double_elision", 4000, "2,3"),
+    ("double-k4", 20, 4, "double_elision", 4000, "2,3"),
     ("single-m64", 64, 3, "single_elision", 4096, "2"),
 )
 
@@ -56,9 +61,16 @@ def run_tree(src: Path, work: Path, seeds: list[int]) -> dict[str, str]:
                 cli(src, "sample", "--table", table, "--instance", inst, "--method", method,
                     "--order", K, "--samples", N, "--seed", seed, "--workers", workers,
                     "--out", d / f"samples_s{seed}_w{workers}.txt")
-            cli(src, "benchmark", "--samples", d / f"samples_s{seed}_w1.txt",
-                "--instance", inst, "--orders", orders, "--seed", seed,
-                "--out", d / f"report_s{seed}")
+            try:
+                cli(src, "benchmark", "--samples", d / f"samples_s{seed}_w1.txt",
+                    "--instance", inst, "--orders", orders, "--seed", seed,
+                    "--out", d / f"report_s{seed}")
+            except SystemExit as exc:
+                # the exact oracle can refuse a valid M = 20 instance (exit 4,
+                # a probability just below its window): compare the refusal,
+                # its exit code and error, as the report's output
+                refusal = str(exc).split(": exited ", 1)[1]
+                (d / f"report_s{seed}.refused").write_text(refusal)
         print(f"{src}: {name} done", file=sys.stderr)
     return {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(work.rglob("*")) if p.is_file()}

@@ -24,7 +24,12 @@ from .cumulants import (
     empirical_correlator_table,
 )
 from .errors import ValidationError
-from .gaussian import BRUTE_FORCE_MAX_MODES, GaussianInstance, brute_force_distribution
+from .gaussian import (
+    BRUTE_FORCE_MAX_MODES,
+    GaussianInstance,
+    brute_force_distribution,
+    outcome_codes,
+)
 from .subsets import dense_rank
 
 DEFAULT_BOOTSTRAP = 100
@@ -51,15 +56,6 @@ def _as_samples(samples) -> np.ndarray:
     if arr.ndim != 2:
         raise ValidationError("samples must be a 2-D (N, M) bit array")
     return arr
-
-
-def _outcome_codes(arr: np.ndarray) -> np.ndarray:
-    """Lexicographic outcome index of each 0/1 row, mode 0 the most significant bit."""
-    codes = np.zeros(arr.shape[0], dtype=np.int64)
-    for column in arr.T:
-        codes <<= 1
-        codes |= column
-    return codes
 
 
 def estimate_correlator(samples, subset) -> float:
@@ -179,7 +175,7 @@ def xeb(
         dist = brute_force_distribution(inst)
     pC = exact_total_clicks(inst, dist)
     weights = arr.sum(axis=1, dtype=np.int64)
-    codes = _outcome_codes(arr)
+    codes = outcome_codes(arr)
     out = []
     crange = range(M + 1) if c_range is None else c_range
     for C in crange:
@@ -230,7 +226,7 @@ def tvd(p, q) -> float:
 def empirical_distribution(samples, M: int) -> np.ndarray:
     """Outcome frequencies over all 2^M lexicographic codes."""
     arr = _as_samples(samples)
-    return np.bincount(_outcome_codes(arr[:, :M]), minlength=2**M) / max(arr.shape[0], 1)
+    return np.bincount(outcome_codes(arr[:, :M]), minlength=2**M) / max(arr.shape[0], 1)
 
 
 def bootstrap(statistic, samples, B: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> tuple[float, float]:

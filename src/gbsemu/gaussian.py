@@ -337,10 +337,25 @@ def exact_probability(inst: GaussianInstance, bits, form: HusimiForm | None = No
     return float(min(max(p, 0.0), 1.0))
 
 
+def outcome_codes(bits: np.ndarray) -> np.ndarray:
+    """Outcome index of each 0/1 row of an (N, M) array: mode 0 is the most significant bit."""
+    codes = np.zeros(bits.shape[0], dtype=np.int64)
+    for column in bits.T:
+        codes <<= 1
+        codes |= column
+    return codes
+
+
+def outcome_bits(codes: np.ndarray, M: int) -> np.ndarray:
+    """The (N, M) uint8 rows of outcome indices; the inverse of :func:`outcome_codes`."""
+    shifts = np.arange(M - 1, -1, -1, dtype=np.int64)
+    return ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
 def brute_force_distribution(inst: GaussianInstance) -> np.ndarray:
     """Exact probabilities of all 2^M outcomes in lexicographic bit order.
 
-    Outcome index i has bit k = (i >> (M-1-k)) & 1, i.e. mode 0 is the
+    Outcome index i has the bits ``outcome_bits`` gives: mode 0 is the
     most significant bit.  Guarded at M <= 20.
 
     Every mode subset R is the click set of one outcome, so its term
@@ -356,7 +371,8 @@ def brute_force_distribution(inst: GaussianInstance) -> np.ndarray:
     form = husimi_form(inst)
     if inst.is_displaced:
         raise ValidationError("displaced instances are not supported by exact_probability")
-    mode_bit = 1 << np.arange(M - 1, -1, -1, dtype=np.int64)
+    # mode_bit[k]: the index of the outcome in which only mode k clicks
+    mode_bit = outcome_codes(np.eye(M, dtype=np.int64))
     terms = np.empty(2**M, dtype=complex)
     out = np.empty(2**M)
     for C in range(M + 1):

@@ -39,7 +39,12 @@ import numpy as np
 
 from .errors import ResourceGuardError, ValidationError
 from .cumulants import SubsetTable
-from .gaussian import BRUTE_FORCE_MAX_MODES, GaussianInstance, brute_force_distribution
+from .gaussian import (
+    BRUTE_FORCE_MAX_MODES,
+    GaussianInstance,
+    brute_force_distribution,
+    outcome_bits,
+)
 from .subsets import binomials, dense_rank, order_offset, subset_rank
 
 METHODS = ("single_elision", "double_elision", "exact_reference")
@@ -136,33 +141,61 @@ def _sample_uniforms(seed: int, index: int, M: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _table_shapes(M: int, K: int, method: str, aux) -> dict[str, tuple[int, ...]]:
-    """Shape (without the batch axis) of every float array MarginalTables holds.
+def _row_blocks(M: int, K: int, aux):
+    """Sizes and starts of the parts of block h of ``R``, and the end of each block.
+
+    Returns ``(size, start, end)``: ``size[part][h]`` and ``start[part][h]``
+    for the parts T1, T2, T3, V1, V2 in that order, and ``end[h]``, where
+    block h ends and block h+1 starts.  Block h (2 <= h < M) holds the
+    contractions of the finished q2 row h-1 (see MarginalTables): the T rows
+    of uppers {n} for n >= h, {h, n} for n > h and {h, i, n} for
+    h < i < n, ordered by n and then i, so (i, n) sits at
+    C(n-h-1, 2) + i-h-1 in its part; then the V rows of uppers {n} and
+    {h, n}, with h values each.  A part is empty where K or the aux orders
+    never read it, and blocks 0 and 1 are empty.
+    """
+    h = np.arange(M)
+    ones = np.where(h >= 2, M - h, 0)  # uppers {n}, n >= h
+    pairs = np.maximum(ones - 1, 0)  # uppers {h, n}, n > h
+    size = {
+        "T1": ones * (K >= 3),
+        "T2": pairs * (K >= 4),
+        "T3": binomials(M)[2][pairs] * (K >= 5),
+        "V1": ones * h * (aux[1] >= 2 or aux[2] >= 2),
+        "V2": pairs * h * (aux[1] >= 3),
+    }
+    ends = np.cumsum(np.stack(list(size.values()), axis=1)).reshape(M, len(size))
+    start = {part: ends[:, k] - size[part] for k, part in enumerate(size)}
+    return size, start, ends[:, -1]
+
+
+def _column_layout(M: int, K: int, method: str, aux) -> dict[str, tuple[tuple, np.ndarray]]:
+    """Every float column array MarginalTables holds: its shape and written rows.
+
+    Maps each name to its shape without the column axis and to the number
+    of leading rows written before step n, indexed by n; the rows past them
+    are written before they are read, so a new column copies only these
+    from its parent.  Some of these ranges also cover rows that are never
+    written; those hold the same value in every column.
 
     ``P[a, b]`` is the interval marginal over bits b..a-1 (``pp`` is
-    ``P[1:]``).  The double method adds the packed q2 rows (row t starts at
-    C(t+1, 3)) and the blocks that contract each finished q2 row with kappa
-    once; ``q2`` and ``V2`` end in one always-zero slot that gathers use for
-    absent pairs.
+    ``P[1:]``).  The double method adds the pair signs, the packed q2 rows
+    (row t starts at C(t+1, 3)) and ``R``, the blocks of ``_row_blocks``
+    (block h is written at step h-1); ``q2`` and ``R`` end in one
+    always-zero slot that gathers use for absent pairs.
     """
-    shapes = {"s": (M,), "pref": (M + 1,), "P": (M + 1, M + 1), "q1": (M, M)}
+    n = np.arange(M)
+    layout = {"s": ((M,), n), "pref": ((M + 1,), n + 1), "P": ((M + 1, M + 1), n + 1),
+              "q1": ((M, M), n)}
     if method != "double_elision":
-        return shapes
-    shapes["par2"] = (comb(M, 2),)
-    shapes["q2"] = (comb(M + 1, 3) + 1,)
-    if K >= 3:
-        shapes["T1"] = (M, M)
-    if K >= 4:
-        shapes["T2"] = (M, M)
-    if K >= 5:
-        shapes["T3"] = (comb(M - 2, 3),)
-    if aux[1] >= 2 or aux[2] >= 2:
-        shapes["V1"] = (comb(M + 1, 3),)
+        return layout
+    C = binomials(M).T
+    end = _row_blocks(M, K, aux)[2]
+    layout.update(par2=((comb(M, 2),), C[n, 2]), q2=((comb(M + 1, 3) + 1,), C[n + 1, 3]),
+                  R=((end[-1] + 1,), end))
     if aux[2] >= 2:
-        shapes["work"] = (comb(M, 2),)  # scratch of q2's row loop
-    if aux[1] >= 3:
-        shapes["V2"] = (comb(M, 3) + 1,)
-    return shapes
+        layout["work"] = ((comb(M, 2),), 0 * n)  # scratch of q2's row loop
+    return layout
 
 
 class MarginalTables:
@@ -188,25 +221,31 @@ class MarginalTables:
     width.
 
     Double elision: the q2 row of step h-1 is final once ``update_p2(h-1)``
-    ends, and that call contracts it once with kappa for every later step:
+    ends, and that call contracts it once with kappa for every later step,
+    by two relayouts per finished row, into block h of ``R``:
 
-    * ``T1[h, n]``   = sum_p kappa(p+{n}) par2[p] q2[h-1, p],        n >= h
-    * ``T2[h, n]``   = sum_p kappa(p+{h, n}) par2[p] q2[h-1, p],     n > h
-    * ``T3[h; i, n]`` = sum_p kappa(p+{h, i, n}) par2[p] q2[h-1, p],  h < i < n
-    * ``V1[h; n, x]`` = sum_o kappa({o, n}) s_o q2[h-1, {x, o}],      n >= h
-    * ``V2[h; n, x]`` = sum_o kappa({o, h, n}) s_o q2[h-1, {x, o}],   n > h
+    * T rows, with uppers U = {n}, {h, n} or {h, i, n}:
+      sum_p kappa(p+U) par2[p] q2[h-1, p]
+    * V rows, with uppers U = {n} or {h, n}, one value per x < h:
+      sum_o kappa({o}+U) s_o q2[h-1, {x, o}]
 
     Later p-steps and q1/q2 updates read O(n^2) of these values through
-    gathers planned once per table; only q2's split-above-i term still
-    walks the stored rows, because its weight changes with n.
+    gathers planned once per table; gathers for h < 2 read ``R``'s zero
+    slot.  Only q2's split-above-i term still walks the stored rows,
+    because its weight changes with n.
     """
 
-    # per-column outcomes besides the tables and bits
+    # per-column outcomes besides the tables
     _SAMPLE_STATE = ("flagged", "aborted", "n_clipped", "max_clip_excursion")
 
     def __init__(self, kappa: SubsetTable, config: SamplerConfig, batch: int):
         if config.method not in ("single_elision", "double_elision"):
             raise ValidationError("tables are only used by the chain methods")
+        if not _fast_supported(config):
+            raise ValidationError(
+                f"{config.method} at K={config.K}, aux orders {config.aux_orders} "
+                "runs on ScalarChain, not on these tables"
+            )
         self.M = kappa.M
         self.K = min(config.K, self.M)
         if self.K > kappa.K:
@@ -219,7 +258,7 @@ class MarginalTables:
         # k2[n][j] = kappa({j, n}) for j < n
         bounds = dense_rank([np.arange(M + 1)], M, start=1).tolist()
         self.k2 = [self.kv[bounds[n] : bounds[n + 1]] for n in range(M)]
-        self.shapes = _table_shapes(M, self.K, config.method, config.aux_orders)
+        self.layout = _column_layout(M, self.K, config.method, config.aux_orders)
         # K3sq[n][j, i] = kappa({j, i, n}) for j < i < n, 0 elsewhere
         self.K3sq = {}
         if self.K >= 3:
@@ -232,11 +271,10 @@ class MarginalTables:
             self._plan_double()
         # full-width arrays are held as _<name>; <name> is the view of the live columns
         self.W = max(batch, 2)
-        arrays = {name: np.zeros(shape + (self.W,)) for name, shape in self.shapes.items()}
+        arrays = {name: np.zeros(shape + (self.W,)) for name, (shape, _) in self.layout.items()}
         arrays.update(
-            bits=np.zeros((M, self.W), dtype=np.uint8), flagged=np.zeros(self.W, dtype=bool),
-            aborted=np.zeros(self.W, dtype=bool), n_clipped=np.zeros(self.W, dtype=np.int64),
-            max_clip_excursion=np.zeros(self.W),
+            flagged=np.zeros(self.W, dtype=bool), aborted=np.zeros(self.W, dtype=bool),
+            n_clipped=np.zeros(self.W, dtype=np.int64), max_clip_excursion=np.zeros(self.W),
         )
         for name, full in arrays.items():
             setattr(self, "_" + name, full)
@@ -244,89 +282,59 @@ class MarginalTables:
         diag = np.arange(M + 1)
         self._P[diag, diag] = 1.0  # empty intervals
         self._pref[0] = 1.0
-        self._written = self._written_rows()
         self.B = 0
         self._set_width(2)
 
-    def _kmat(self, d: int, uppers, r: int, ncols: int) -> np.ndarray:
+    def _kmat(self, uppers, r: int, ncols: int) -> np.ndarray:
         """kappa({lower r-subset of colex rank c} + uppers[row]) as a (rows, ncols) array."""
-        up = np.asarray(uppers, dtype=np.int64).reshape(-1, d - r)
+        up = np.asarray(uppers, dtype=np.int64)
         return self.kv[dense_rank(up.T, self.M, start=r)[:, None] + np.arange(ncols)]
 
     def _plan_double(self) -> None:
         """kappa relayouts for the row contractions and the per-step gathers."""
-        M, C, sh = self.M, self.C, self.shapes
-        self.kt1, self.kt2, self.kt3, self.kv1, self.kv2 = {}, {}, {}, {}, {}
-        self.sidx = {}
-        self.base1 = np.cumsum([0] + [(M - h) * h for h in range(1, M)])  # base1[h - 1]
-        self.base2 = np.cumsum([0] + [(M - 1 - h) * h for h in range(1, M - 1)])
-        base3, pos3 = {}, {}
-        at = 0
-        for j in range(2, M - 2):
-            base3[j] = at
-            for i in range(j + 1, M - 1):
-                for m in range(i + 1, M):
-                    pos3[j, i, m] = at
-                    at += 1
-        zero_q2 = sh["q2"][0] - 1
+        M, C, aux = self.M, self.C, self.cfg.aux_orders
+        size, start, end = _row_blocks(M, self.K, aux)
+        zero = end[-1]  # R's always-zero slot
+        self.t_rows, self.v_rows, self.sidx = {}, {}, {}
         for h in range(2, M):
-            npair = C[h, 2]
-            later = np.arange(h, M)
-            if "T1" in sh:
-                self.kt1[h] = self._kmat(3, later, 2, npair)
-            if "T2" in sh and h < M - 1:
-                self.kt2[h] = self._kmat(4, [(h, m) for m in range(h + 1, M)], 2, npair)
-            if "T3" in sh and h < M - 2:
-                rows = [(h, i, m) for i in range(h + 1, M - 1) for m in range(i + 1, M)]
-                self.kt3[h] = (base3[h], self._kmat(5, rows, 2, npair))
-            if "V1" in sh or "V2" in sh:
+            ones = [(n,) for n in range(h, M)]
+            pairs = [(h, n) for n in range(h + 1, M)]
+            triples = [(h, i, n) for n in range(h + 2, M) for i in range(h + 1, n)]
+            t = [self._kmat(up, 2, C[h, 2])
+                 for part, up in (("T1", ones), ("T2", pairs), ("T3", triples)) if size[part][h]]
+            if t:
+                self.t_rows[h] = (start["T1"][h], np.concatenate(t))
+            v = [self._kmat(up, 1, h)
+                 for part, up in (("V1", ones), ("V2", pairs)) if size[part][h]]
+            if v:
+                self.v_rows[h] = (start["V1"][h], np.concatenate(v))
                 # q2 row h-1 holds the pair {x, o} at the colex rank of {x, o, h}
                 x = np.arange(h)
                 pair = (np.minimum.outer(x, x), np.maximum.outer(x, x), h)
                 sq = dense_rank(pair, M) - order_offset(M, 3)
-                sq[np.diag_indices(h)] = zero_q2
+                sq[np.diag_indices(h)] = comb(M + 1, 3)  # q2's zero slot
                 self.sidx[h] = sq
-            if "V1" in sh:
-                self.kv1[h] = self._kmat(2, later, 1, h)
-            if "V2" in sh and h < M - 1:
-                self.kv2[h] = self._kmat(3, [(h, m) for m in range(h + 1, M)], 1, h)
-        # per-step gathers
-        self.sq2, self.v1pairs, self.p5 = {}, {}, {}
+        # per-step gathers, in closed form from the block starts
+        self.t1 = start["T1"]
+        self.t1col, self.p4, self.p5, self.sq2, self.v1pairs = {}, {}, {}, {}, {}
         for n in range(2, M):
-            if "V2" in sh:
-                sq = np.full((n, n), sh["V2"][0] - 1, dtype=np.int64)
-                for i in range(n):
-                    sq[:i, i] = self.base2[i - 1] + (n - i - 1) * i + np.arange(i)
-                self.sq2[n] = sq
-            if "V1" in sh:
-                e, d = np.array([(e, d) for e in range(1, n) for d in range(e)]).T
-                self.v1pairs[n] = (self.base1[e - 1] + (n - e) * e + d, e + 1)
-            if "T3" in sh and n >= 4:
-                i, j = np.array([(i, j) for i in range(3, n) for j in range(2, i)]).T
-                t3 = np.array([pos3[jj, ii, n] for ii, jj in zip(i, j)])
+            h = np.arange(n)
+            if self.K >= 4 and n >= 3:
+                self.p4[n] = start["T2"][2:n] + n - h[2:] - 1
+            if self.K >= 5 and n >= 4:
+                i, j = np.tril_indices(n - 2, -1)
+                i, j = i + 2, j + 2
+                t3 = start["T3"][j] + C[n - j - 1, 2] + i - j - 1
                 self.p5[n] = (i + 1, i * (M + 1) + j + 1, j + C[i, 2], t3)
-
-    def _written_rows(self) -> dict[str, np.ndarray]:
-        """Leading rows of each column array written before step n, indexed by n.
-
-        The rows past them are written before they are read, so a new column
-        needs only these copied from its parent.  Some ranges also cover
-        rows that are never written; those hold the same value in every
-        column.
-        """
-        M, C = self.M, self.C
-        n = np.arange(M)
-        rows = {"s": n, "bits": n, "pref": n + 1, "P": n + 1, "q1": n}
-        if self.double:
-            t3_end = np.zeros(M, dtype=np.int64)  # end of the T3 block of row h
-            for h, (start, kmat) in self.kt3.items():
-                t3_end[h] = start + len(kmat)
-            rows.update(
-                par2=C[n, 2], q2=C[n + 1, 3], T1=n + 1, T2=n + 1,
-                T3=np.maximum.accumulate(t3_end), V1=self.base1[n],
-                V2=self.base2[np.minimum(n, M - 2)],
-            )
-        return {name: r for name, r in rows.items() if name in self._columns}
+            if aux[1] >= 3:
+                self.t1col[n] = np.where(h >= 2, start["T1"][h] + n - h, zero)
+                e, i = np.ogrid[:n, :n]
+                sq = start["V2"][h] + (n - i - 1) * i + e
+                self.sq2[n] = np.where((e < i) & (i >= 2), sq, zero)
+            if aux[2] >= 2:
+                e, d = np.tril_indices(n, -1)
+                v1 = start["V1"][e] + (n - e) * e + d
+                self.v1pairs[n] = (np.where(e >= 2, v1, zero), e + 1)
 
     def _set_width(self, width: int) -> None:
         """Point every column array at its first `width` columns."""
@@ -340,7 +348,7 @@ class MarginalTables:
     def _fork(self, n: int, parents: np.ndarray, first: int) -> None:
         """Copy columns `parents`, as they stand before step n, to columns first, first+1, ..."""
         new = slice(first, first + parents.size)
-        for name, rows in self._written.items():
+        for name, (_, rows) in self.layout.items():
             full = getattr(self, "_" + name)
             full[: rows[n], ..., new] = full[: rows[n], ..., parents]
         for name in self._SAMPLE_STATE:
@@ -375,13 +383,13 @@ class MarginalTables:
             sq1 = self.q1[: n - 1, : n - 1] * s[: n - 1]
             y = np.einsum("ji,ijb->ib", self.K3sq[n][: n - 1, 1:n], sq1)
             return out + 0.125 * np.einsum("ib,ib,ib->b", y, up[1:], s[1:n])
-        out += 0.125 * self.T1[n, n]
+        out += 0.125 * self.R[self.t1[n]]
         if self.K >= 4 and n >= 3:
-            out += 0.0625 * np.einsum("ib,ib,ib->b", up[2:], s[2:n], self.T2[2:n, n])
+            out += 0.0625 * np.einsum("ib,ib,ib->b", up[2:], s[2:n], self.R[self.p4[n]])
         if self.K >= 5 and n >= 4:
             upi, mid, par, t3 = self.p5[n]
             w = self.P[n][upi] * self.P.reshape(-1, self.B)[mid] * self.par2[par]
-            out += 0.03125 * np.einsum("qb,qb->b", w, self.T3[t3])
+            out += 0.03125 * np.einsum("qb,qb->b", w, self.R[t3])
         return out
 
     # -- table updates (run after bit n is realized) ---------------------------
@@ -414,12 +422,13 @@ class MarginalTables:
         val = 0.5 * (1.0 + self._k1(n) * s[n]) * self.q1[n - 1, :n]
         up = self.P[n, 1 : n + 1]
         if self.double:
-            if order >= 2:
-                start = self.base1[n - 1]
-                val += 0.25 * s[n] * self.V1[start : start + n]
+            # R has no block 1: at n = 1 the V1 term is zero
+            if order >= 2 and n >= 2:
+                start = self.v_rows[n][0]
+                val += 0.25 * s[n] * self.R[start : start + n]
             if order >= 3 and n >= 2:
-                acc = up * self.T1[:n, n]
-                acc += np.einsum("eib,ib->eb", self.V2[self.sq2[n]], up * s[:n])
+                acc = up * self.R[self.t1col[n]]
+                acc += np.einsum("eib,ib->eb", self.R[self.sq2[n]], up * s[:n])
                 val += 0.125 * s[n] * acc
         elif order >= 2:
             # q1[t, i] is 0 for i > t, which bounds both sums
@@ -445,7 +454,7 @@ class MarginalTables:
                 up = self.P[n, 1 : n + 1]
                 # o != d below e: split above e, the pair {d, o} of row e-1
                 v1, e1 = self.v1pairs[n]
-                acc = self.P[n][e1] * s[n] * self.V1[v1]
+                acc = self.P[n][e1] * s[n] * self.R[v1]
                 # i > e: split above i, pair {d, e} survives in row i-1
                 w = (self.k2[n][:, None] * s[:n]) * s[n] * up
                 for i in range(2, n):
@@ -457,35 +466,21 @@ class MarginalTables:
         self._contract_row(n)
 
     def _contract_row(self, t: int) -> None:
-        """Contract the finished q2 row t with kappa for every later step."""
+        """Contract the finished q2 row t with kappa into block t+1 of R."""
         h = t + 1
-        if h < 2 or h >= self.M:
-            return
-        B = self.B
-        row = self.q2_row(t)
-        z = self.par2[: self.C[h, 2]] * row
-        if h in self.kt1:
-            np.einsum("np,pb->nb", self.kt1[h], z, out=self.T1[h, h:])
-        if h in self.kt2:
-            np.einsum("np,pb->nb", self.kt2[h], z, out=self.T2[h, h + 1 :])
-        if h in self.kt3:
-            start, kmat = self.kt3[h]
-            np.einsum("np,pb->nb", kmat, z, out=self.T3[start : start + len(kmat)])
-        if h in self.sidx:
+        if h in self.t_rows:
+            start, kmat = self.t_rows[h]
+            z = self.par2[: self.C[h, 2]] * self.q2_row(t)
+            np.einsum("np,pb->nb", kmat, z, out=self.R[start : start + len(kmat)])
+        if h in self.v_rows:
             # S[x, o] = s_o q2[t, {x, o}], 0 at o = x
             S = self.q2[self.sidx[h]] * self.s[:h]
-            if h in self.kv1:
-                start = self.base1[h - 1]
-                out = self.V1[start : start + (self.M - h) * h].reshape(self.M - h, h, B)
-                np.einsum("no,xob->nxb", self.kv1[h], S, out=out)
-            if h in self.kv2:
-                start = self.base2[h - 1]
-                out = self.V2[start : start + (self.M - h - 1) * h].reshape(self.M - h - 1, h, B)
-                np.einsum("no,xob->nxb", self.kv2[h], S, out=out)
+            start, kmat = self.v_rows[h]
+            out = self.R[start : start + len(kmat) * h].reshape(len(kmat), h, self.B)
+            np.einsum("no,xob->nxb", kmat, S, out=out)
 
     def advance(self, n: int, bits_n: np.ndarray, q0: np.ndarray) -> None:
-        """Record the realized bit, update the prefix and all tables."""
-        self.bits[n] = bits_n
+        """Record the realized bit as its sign s[n], update the prefix and all tables."""
         self.s[n] = 1.0 - 2.0 * bits_n
         self.pref[n + 1] = np.where(bits_n == 0, q0, 1.0 - q0) * self.pref[n]
         if self.double:
@@ -500,9 +495,9 @@ class MarginalTables:
 
         Sample i draws bit n as ``uniforms[n, i] >= q0`` of its column, or
         takes ``forced[n, i]``; both have shape (M, S).  After the run,
-        column c of every table, of ``bits``, ``flagged``, ``aborted``,
-        ``n_clipped`` and ``max_clip_excursion`` holds the results of the
-        samples mapped to c.  A deferred sample maps to -1.
+        column c of every table, of ``flagged``, ``aborted``, ``n_clipped``
+        and ``max_clip_excursion`` holds the results of the samples mapped
+        to c; ``s[n]`` is 1 - 2 * bit n.  A deferred sample maps to -1.
         ``table_columns`` counts the column-steps computed: the live
         prefixes summed over the steps.
 
@@ -749,16 +744,19 @@ def chain_joint_probability(kappa: SubsetTable, bits, config: SamplerConfig) -> 
 def aux_values_per_sample(M: int, method: str, K: int = 5, aux_orders=None) -> int:
     """Float64 values MarginalTables holds per in-flight sample.
 
-    The sum of the table shapes of ``_table_shapes``.  Prefix, sign,
-    interval and single-elision tables are O(M^2); the double method adds
-    the packed q2 rows, choose(M+1, 3) + 1 values, and the contracted
-    blocks: two M x M tables, choose(M-2, 3) for order 5, choose(M+1, 3)
-    and choose(M, 3) + 1 for the pair sums.  The kappa relayouts are
-    shared by the batch and not counted.
+    The sum of the shapes of ``_column_layout``.  Prefix, sign, interval
+    and single-elision tables are O(M^2); the double method adds the packed
+    q2 rows, choose(M+1, 3) + 1 values, and ``R``: block h holds M-h T rows
+    of order 3, M-h-1 of order 4 and choose(M-h-1, 2) of order 5, and h
+    values for each of its M-h order-2 and M-h-1 order-3 V rows; one zero
+    slot ends it.  At K = 5 with the default aux orders that makes 1,463
+    values at M = 12 and 10,407 at M = 24.  The kappa relayouts are shared
+    by the batch and not counted.
     """
     K = min(K, M)
     aux = aux_orders or tuple(min(a, K) for a in _DEFAULT_AUX[method])
-    return sum(int(np.prod(shape)) for shape in _table_shapes(M, K, method, aux).values())
+    layout = _column_layout(M, K, method, aux)
+    return sum(int(np.prod(shape)) for shape, _ in layout.values())
 
 
 # float64 table values of one batch (32 MiB).  Measured on a 2-core host
@@ -781,8 +779,8 @@ _RUN_SAMPLES_PER_COLUMN = 16
 def _auto_batch(M: int, config: SamplerConfig) -> int:
     """Widest power-of-two batch whose tables fit in _BATCH_VALUES values.
 
-    The width is at least 8, so past about M = 70 at K = 5 the tables of
-    one batch exceed _BATCH_VALUES.
+    The width is at least 8, so from M = 73 at K = 5 the tables of one
+    batch exceed _BATCH_VALUES.
     """
     per_sample = aux_values_per_sample(M, config.method, config.K, config.aux_orders)
     width = 1 << (max(1, _BATCH_VALUES // per_sample).bit_length() - 1)
@@ -822,7 +820,7 @@ def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: in
             done = col >= 0
             u[:, : idx.size - done.sum()] = u[:, : idx.size][:, ~done]
             finished, col, idx = idx[done], col[done], idx[~done]
-            out[finished] = tables.bits[:, col].T
+            out[finished] = (tables.s[:, col] < 0).T
             aborted[finished] = tables.aborted[col]
             counts += (tables.flagged[col].sum(), tables.n_clipped[col].sum(),
                        tables.table_columns, idx.size)
@@ -867,8 +865,7 @@ def exact_reference_sampler(inst: GaussianInstance, config: SamplerConfig) -> Sa
     cdf[-1] = 1.0
     u = _stream_uniforms(config.seed, 0, config.N, 1)[:, 0] if config.N else np.empty(0)
     codes = np.minimum(np.searchsorted(cdf, u, side="right"), 2**M - 1)
-    shifts = np.arange(M - 1, -1, -1, dtype=np.int64)
-    bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    bits = outcome_bits(codes, M)
     wall = time.perf_counter() - t0
     return SampleBatch(
         M=M, N=config.N, bitstrings=bits, method="exact_reference", K=0,

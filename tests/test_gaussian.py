@@ -396,3 +396,13 @@ def test_unphysical_covariance_rejected():
     bad[0, 1] = 0.5
     with pytest.raises(ValidationError):
         g.GaussianInstance(sigma=bad, hbar=HBAR)
+
+
+def test_outcome_codes_roundtrip():
+    # mode 0 is the most significant bit of the outcome index
+    bits = np.array([[1, 0, 0], [0, 0, 1], [1, 1, 0]], dtype=np.uint8)
+    codes = g.outcome_codes(bits)
+    assert codes.tolist() == [4, 1, 6]
+    assert np.array_equal(g.outcome_bits(codes, 3), bits)
+    every = np.arange(2**5)
+    assert np.array_equal(g.outcome_codes(g.outcome_bits(every, 5)), every)

@@ -169,6 +169,24 @@ def test_fast_engine_matches_scalar(lossy7, method, K, aux):
         assert tables.pref[7][0] == pytest.approx(chain.pref[7], abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "method,K,aux",
+    [("double_elision", 6, None), ("double_elision", 5, (4, 4, 3)), ("single_elision", 4, None)],
+)
+def test_tables_refuse_configs_beyond_their_rules(method, K, aux):
+    # the tables hold the order-5 double / order-3 single rules; a higher
+    # config must not run truncated to them
+    inst, _ = g.random_instance(M=7, k=3, eta=0.5, r_max=1.0, seed=5)
+    ktab = make_tables(inst, 6)
+    cfg = sp.SamplerConfig(N=0, K=K, method=method, aux_orders=aux)
+    with pytest.raises(ValidationError):
+        sp.MarginalTables(ktab, cfg, batch=1)
+    bits = np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint8)
+    chain = sp.ScalarChain(ktab, cfg)
+    chain.run(forced=bits)
+    assert sp.chain_joint_probability(ktab, bits, cfg) == chain.pref[7]
+
+
 def test_full_order_joint_probabilities(lossy5):
     inst, dist, ktab = lossy5
     cfg = sp.SamplerConfig(N=0, K=5, method="double_elision", aux_orders=(5, 5, 5))
@@ -404,16 +422,19 @@ def test_packed_bytes_lsb_first(tmp_path):
 
 
 def test_aux_memory_budget():
-    # packed q2 rows plus the contracted blocks, each O(M^3 / 6), at M=144
+    # packed q2 rows plus the contraction store R, each O(M^3 / 6), at M=144
     from math import comb
 
     M = 144
     total = sp.aux_values_per_sample(M, "double_elision")
     q2_part = total - sp.aux_values_per_sample(M, "single_elision")
     packed_q2 = comb(M + 1, 3) + 1
-    blocks = 2 * M * M + comb(M - 2, 3) + comb(M + 1, 3) + comb(M, 3) + 1
+    # T rows of orders 3, 4, 5 and V rows of orders 2, 3 (blocks h >= 2), zero slot
+    R = (comb(M - 1, 2) + comb(M - 2, 2) + comb(M - 2, 3)
+         + comb(M + 1, 3) - (M - 1) + comb(M, 3) - (M - 2) + 1)
+    assert R == 1_472_044
     pair_signs_and_scratch = 2 * comb(M, 2)
-    assert q2_part == packed_q2 + blocks + pair_signs_and_scratch
+    assert q2_part == packed_q2 + R + pair_signs_and_scratch
     assert sp.aux_values_per_sample(64, "single_elision") < 3 * 64 * 64
 
 
