@@ -8,16 +8,20 @@ BLAS thread, and writes under its own directory in
 ``.bench_build/compare/``.  The inputs are perfbench's ``deep-k5`` and
 ``exact-m12`` workloads (M/4 squeezers, eta 0.5, r_max 1.0, instance seed
 1), double-elision inputs at K=3 (M=16) and K=4 (M=20), which fill only
-some parts of the sampler's row contractions, and an M=64, K=3
-single-elision input; every sampling seed gets its own samples and
-report (or, where the report is refused, its exit code and error).  The
-script prints the SHA-256 of every output file in both trees and exits 1
-if any file differs or exists in one tree only.
+some parts of the sampler's row contractions, an M=64, K=3
+single-elision input, and an M=10, K=4 single-elision input, which runs
+on the scalar engine ``ScalarChain``.  Every sampling seed gets its own
+samples, the deterministic fields of each sample manifest (``MANIFEST``,
+written as JSON next to the samples) and its report (or, where the
+report is refused, its exit code and error).  The script prints the
+SHA-256 of every output file in both trees and exits 1 if any file
+differs or exists in one tree only.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -33,7 +37,12 @@ INPUTS = (
     ("double-k3", 16, 3, "double_elision", 4000, "2,3"),
     ("double-k4", 20, 4, "double_elision", 4000, "2,3"),
     ("single-m64", 64, 3, "single_elision", 4096, "2"),
+    ("scalar-k4", 10, 4, "single_elision", 200, "2,3"),
 )
+# the sample manifest fields that do not depend on timing or on the host
+MANIFEST = ("n_generated", "n_failed", "n_flagged", "n_clipped", "max_clip_excursion",
+            "engine", "table_columns", "n_deferred", "aux_values_per_sample",
+            "worker_errors")
 
 _CHILD = """
 from gbsemu.cli import main
@@ -41,9 +50,9 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
-def cli(src: Path, *argv) -> None:
-    """One gbsemu command in a fresh interpreter; its stdout manifest is dropped."""
-    pairs.run_child(_CHILD, src, *argv)
+def cli(src: Path, *argv) -> dict:
+    """One gbsemu command in a fresh interpreter; returns its manifest."""
+    return json.loads(pairs.run_child(_CHILD, src, *argv))
 
 
 def run_tree(src: Path, work: Path, seeds: list[int]) -> dict[str, str]:
@@ -58,9 +67,11 @@ def run_tree(src: Path, work: Path, seeds: list[int]) -> dict[str, str]:
         cli(src, "precompute", "--instance", inst, "--order", K, "--out", table)
         for seed in seeds:
             for workers in (1, 2):
-                cli(src, "sample", "--table", table, "--instance", inst, "--method", method,
-                    "--order", K, "--samples", N, "--seed", seed, "--workers", workers,
-                    "--out", d / f"samples_s{seed}_w{workers}.txt")
+                man = cli(src, "sample", "--table", table, "--instance", inst,
+                          "--method", method, "--order", K, "--samples", N, "--seed", seed,
+                          "--workers", workers, "--out", d / f"samples_s{seed}_w{workers}.txt")
+                (d / f"manifest_s{seed}_w{workers}.json").write_text(
+                    json.dumps({key: man[key] for key in MANIFEST}, indent=1, sort_keys=True))
             try:
                 cli(src, "benchmark", "--samples", d / f"samples_s{seed}_w1.txt",
                     "--instance", inst, "--orders", orders, "--seed", seed,

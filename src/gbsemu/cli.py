@@ -136,12 +136,6 @@ def cmd_sample(args) -> int:
         if not args.table:
             raise ValidationError("chain methods need --table")
         kappa = load_table(args.table)
-        if kappa.kind != "cumulant":
-            raise ValidationError(f"{args.table} is not a cumulant table")
-        if kappa.M != inst.M:
-            raise ValidationError(
-                f"table M={kappa.M} does not match instance M={inst.M}"
-            )
     config = SamplerConfig(
         N=args.samples, K=args.order, method=args.method, aux_orders=args.aux_orders,
         seed=args.seed, workers=args.workers, clamp_epsilon=args.clamp_epsilon,

@@ -136,6 +136,43 @@ def _sample_uniforms(seed: int, index: int, M: int) -> np.ndarray:
     return _stream_uniforms(seed, index, 1, M)[0]
 
 
+# per-column outcomes of a chain run besides its tables, and their dtypes
+_SAMPLE_STATE = {"flagged": bool, "aborted": bool, "n_clipped": np.int64,
+                 "max_clip_excursion": float}
+
+
+def _conditional(p0, pref, kappa_n: float, eps: float, state) -> np.ndarray:
+    """q0 = p0 / pref, the probability that the next bit is 0, as both engines draw it.
+
+    `p0` and `pref` are per column; `state` holds the _SAMPLE_STATE arrays
+    of those columns, updated in place.  A non-finite p0 aborts its column,
+    which goes on from p0 = pref / 2.  pref <= 0 flags the column, whose q0
+    is then (1 + kappa_n) / 2.  Otherwise a ratio outside [0, 1] is clipped,
+    counted in ``n_clipped`` and its distance kept in
+    ``max_clip_excursion``.  Last, q0 is clamped into [eps, 1 - eps].
+    """
+    bad = ~np.isfinite(p0)
+    if bad.any():
+        state.aborted |= bad
+        p0 = np.where(bad, 0.5 * pref, p0)
+    dead = np.asarray(pref) <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(p0, pref)
+    q0 = np.clip(ratio, 0.0, 1.0)
+    excursion = np.where(dead, 0.0, np.maximum(ratio - 1.0, -ratio))
+    clipped = excursion > 0.0
+    if clipped.any():
+        state.n_clipped += clipped
+        np.maximum(state.max_clip_excursion, np.where(clipped, excursion, 0.0),
+                   out=state.max_clip_excursion)
+    if dead.any():
+        state.flagged |= dead
+        q0 = np.where(dead, 0.5 * (1.0 + kappa_n), q0)
+    if eps > 0.0:
+        q0 = np.clip(q0, eps, 1.0 - eps)
+    return q0
+
+
 # ---------------------------------------------------------------------------
 # Fast batched engine
 # ---------------------------------------------------------------------------
@@ -235,9 +272,6 @@ class MarginalTables:
     because its weight changes with n.
     """
 
-    # per-column outcomes besides the tables
-    _SAMPLE_STATE = ("flagged", "aborted", "n_clipped", "max_clip_excursion")
-
     def __init__(self, kappa: SubsetTable, config: SamplerConfig, batch: int):
         if config.method not in ("single_elision", "double_elision"):
             raise ValidationError("tables are only used by the chain methods")
@@ -246,10 +280,9 @@ class MarginalTables:
                 f"{config.method} at K={config.K}, aux orders {config.aux_orders} "
                 "runs on ScalarChain, not on these tables"
             )
+        _check_table(kappa, config)
         self.M = kappa.M
         self.K = min(config.K, self.M)
-        if self.K > kappa.K:
-            raise ValidationError(f"config K={config.K} exceeds table order {kappa.K}")
         self.cfg = config
         self.kv = kappa.values
         M = self.M
@@ -272,10 +305,7 @@ class MarginalTables:
         # full-width arrays are held as _<name>; <name> is the view of the live columns
         self.W = max(batch, 2)
         arrays = {name: np.zeros(shape + (self.W,)) for name, (shape, _) in self.layout.items()}
-        arrays.update(
-            flagged=np.zeros(self.W, dtype=bool), aborted=np.zeros(self.W, dtype=bool),
-            n_clipped=np.zeros(self.W, dtype=np.int64), max_clip_excursion=np.zeros(self.W),
-        )
+        arrays.update({name: np.zeros(self.W, dtype) for name, dtype in _SAMPLE_STATE.items()})
         for name, full in arrays.items():
             setattr(self, "_" + name, full)
         self._columns = tuple(arrays)
@@ -351,7 +381,7 @@ class MarginalTables:
         for name, (_, rows) in self.layout.items():
             full = getattr(self, "_" + name)
             full[: rows[n], ..., new] = full[: rows[n], ..., parents]
-        for name in self._SAMPLE_STATE:
+        for name in _SAMPLE_STATE:
             full = getattr(self, "_" + name)
             full[new] = full[parents]
 
@@ -501,42 +531,20 @@ class MarginalTables:
         ``table_columns`` counts the column-steps computed: the live
         prefixes summed over the steps.
 
-        A conditional p0 / pref outside [0, 1] is clipped; each clip is
-        counted in ``n_clipped`` and its distance from [0, 1] kept in
-        ``max_clip_excursion`` (per column).
+        Each conditional q0 comes from ``_conditional``.
         """
-        cfg = self.cfg
         draws = uniforms if forced is None else forced
         sample = np.arange(draws.shape[1])  # samples not deferred
         col = np.zeros(sample.size, dtype=np.int64)
         self._pref[0] = 1.0
-        for name in self._SAMPLE_STATE:
+        for name in _SAMPLE_STATE:
             getattr(self, "_" + name)[:] = 0
         self._set_width(2)
         self.table_columns = 0
         live = 1
         for n in range(self.M):
-            p0 = self.step_probability_zero(n)
-            bad = ~np.isfinite(p0)
-            if bad.any():
-                self.aborted |= bad
-                p0 = np.where(bad, 0.5 * self.pref[n], p0)
-            denom = self.pref[n]
-            dead = denom <= 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = p0 / denom
-            q0 = np.clip(ratio, 0.0, 1.0)
-            excursion = np.where(dead, 0.0, np.maximum(ratio - 1.0, -ratio))
-            clipped = excursion > 0.0
-            if clipped.any():
-                self.n_clipped += clipped
-                np.maximum(self.max_clip_excursion, np.where(clipped, excursion, 0.0),
-                           out=self.max_clip_excursion)
-            if dead.any():
-                self.flagged |= dead
-                q0 = np.where(dead, 0.5 * (1.0 + self._k1(n)), q0)
-            if cfg.clamp_epsilon > 0.0:
-                q0 = np.clip(q0, cfg.clamp_epsilon, 1.0 - cfg.clamp_epsilon)
+            q0 = _conditional(self.step_probability_zero(n), self.pref[n], self._k1(n),
+                              self.cfg.clamp_epsilon, self)
             drawn = draws[n, sample]
             one = drawn != 0 if forced is not None else drawn >= q0[col]
             # drew[b, c]: some sample of column c drew bit b
@@ -578,32 +586,33 @@ class ScalarChain:
 
     Same update schedule and degenerate-elision conventions as the fast
     engine, written with plain dictionaries and loops.  At aux orders
-    equal to M every update reduces to the untruncated expansion.
+    equal to M every update reduces to the untruncated expansion.  One
+    run draws one sample: bit n is ``sign[n] < 0``, and ``flagged``,
+    ``aborted``, ``n_clipped`` and ``max_clip_excursion`` are arrays of
+    one column, as in MarginalTables.
     """
 
     def __init__(self, kappa: SubsetTable, config: SamplerConfig):
+        _check_table(kappa, config)
         self.M = kappa.M
         self.K = min(config.K, self.M)
-        if self.K > kappa.K:
-            raise ValidationError(f"config K={config.K} exceeds table order {kappa.K}")
         self.cfg = config
         self.kappa = kappa
         self.double = config.method == "double_elision"
         self.bottom = 2 if self.double else 1
-        self.reset()
-
-    def reset(self):
-        self.bits = np.zeros(self.M, dtype=np.uint8)
         self.sign = np.ones(self.M)
         self.pref = [1.0]
         self.pp = {}
         self.q1 = {}
         self.q2 = {}
-        self.flagged = False
+        for name, dtype in _SAMPLE_STATE.items():
+            setattr(self, name, np.zeros(1, dtype))
 
-    def _gamma(self, members, n, virtual_zero: bool) -> float:
+    def _gamma(self, members, n) -> float:
+        # sign[n] is still +1 before bit n is drawn, so the p-step reads the
+        # gammas of bit n = 0
         subset = tuple(sorted(members + (n,)))
-        sgn = 1.0 if virtual_zero else self.sign[n]
+        sgn = self.sign[n]
         for i in members:
             sgn *= self.sign[i]
         return float(self.kappa.values[subset_rank(subset, self.M, self.kappa.K)]) * sgn
@@ -624,94 +633,75 @@ class ScalarChain:
             return self.q1[(t, elis[0])]
         return self.q2[(t, elis[1], elis[0])]
 
-    def _anchored(self, top: int, D: tuple[int, ...]) -> float:
-        """Approximate marginal over [0..top] minus the descending index set D."""
-        q = len(D)
-        if q <= self.bottom:
-            return self._resolve(top, D)
-        val = self._interval(D[0] + 1, top)
-        for w in range(q - self.bottom - 1):
-            val *= self._interval(D[w + 1] + 1, D[w] - 1)
-        anchor = D[q - self.bottom - 1]
-        val *= self._resolve(anchor - 1, D[q - self.bottom :])
-        return val
+    def _tail(self, top: int, D: tuple[int, ...], lo: int | None) -> float:
+        """Approximate marginal over [lo..top] ([0..top] if `lo` is None) minus D.
 
-    def step_probability_zero(self, n: int) -> float:
-        out = 0.5 * (1.0 + self._gamma((), n, True)) * self.pref[n]
-        for m in range(1, self.K):
+        D is descending.  The product of the intervals between the elisions:
+        all of them down to `lo` (the pp update), or, with `lo` None, those
+        above the lowest ``bottom`` elisions times the pref / q1 / q2 entry
+        below them.
+        """
+        cut = len(D) if lo is not None else max(len(D) - self.bottom, 0)
+        val, hi = 1.0, top
+        for d in D[:cut]:
+            val *= self._interval(d + 1, hi)
+            hi = d - 1
+        return val * (self._interval(lo, hi) if lo is not None else self._resolve(hi, D[cut:]))
+
+    def _expand(self, n: int, order: int, pool, fixed: tuple[int, ...] = (),
+                lo: int | None = None) -> float:
+        """The order-`order` expansion of one entry at step n.
+
+        (1 + gamma_n) / 2 * tail(fixed), plus 2^-(m+1) gamma(comb, n)
+        tail(comb + fixed) summed over the m-subsets comb of `pool` for
+        0 < m < order; `fixed` is descending.
+        """
+        out = 0.5 * (1.0 + self._gamma((), n)) * self._tail(n - 1, fixed, lo)
+        for m in range(1, order):
             coef = 0.5 ** (m + 1)
-            for comb_ in combinations(range(n), m):
-                D = tuple(sorted(comb_, reverse=True))
-                out += coef * self._gamma(comb_, n, True) * self._anchored(n - 1, D)
+            for comb_ in combinations(pool, m):
+                D = tuple(sorted(comb_ + fixed, reverse=True))
+                out += coef * self._gamma(comb_, n) * self._tail(n - 1, D, lo)
         return out
 
-    def _update_pp(self, n: int) -> None:
-        self.pp[(n, n)] = 0.5 * (1.0 + self._gamma((), n, False))
-        order = self.cfg.aux_orders[0]
-        for l in range(n):
-            val = 0.5 * (1.0 + self._gamma((), n, False)) * self._interval(l, n - 1)
-            for m in range(1, order):
-                coef = 0.5 ** (m + 1)
-                for comb_ in combinations(range(l, n), m):
-                    D = tuple(sorted(comb_, reverse=True))
-                    piece = self._interval(D[0] + 1, n - 1)
-                    for w in range(m - 1):
-                        piece *= self._interval(D[w + 1] + 1, D[w] - 1)
-                    piece *= self._interval(l, D[m - 1] - 1)
-                    val += coef * self._gamma(comb_, n, False) * piece
-            self.pp[(l, n)] = val
-
-    def _update_q1(self, n: int) -> None:
-        self.q1[(n, n)] = self.pref[n]
-        order = self.cfg.aux_orders[1]
-        for e in range(n):
-            val = 0.5 * (1.0 + self._gamma((), n, False)) * self._resolve(n - 1, (e,))
-            for m in range(1, order):
-                coef = 0.5 ** (m + 1)
-                for comb_ in combinations([i for i in range(n) if i != e], m):
-                    D = tuple(sorted(comb_ + (e,), reverse=True))
-                    val += coef * self._gamma(comb_, n, False) * self._anchored(n - 1, D)
-            self.q1[(n, e)] = val
-
-    def _update_q2(self, n: int) -> None:
-        if not self.double:
-            return
-        for d in range(n):
-            self.q2[(n, d, n)] = self._resolve(n - 1, (d,))
-        order = self.cfg.aux_orders[2]
-        for e in range(1, n):
-            for d in range(e):
-                val = 0.5 * (1.0 + self._gamma((), n, False)) * self._resolve(n - 1, (d, e))
-                for m in range(1, order):
-                    coef = 0.5 ** (m + 1)
-                    pool = [i for i in range(n) if i not in (d, e)]
-                    for comb_ in combinations(pool, m):
-                        D = tuple(sorted(comb_ + (d, e), reverse=True))
-                        val += coef * self._gamma(comb_, n, False) * self._anchored(n - 1, D)
-                self.q2[(n, d, e)] = val
+    def step_probability_zero(self, n: int) -> float:
+        return self._expand(n, self.K, range(n))
 
     def advance(self, n: int, bit: int, q0: float) -> None:
-        self.bits[n] = bit
         self.sign[n] = 1.0 - 2.0 * bit
         self.pref.append((q0 if bit == 0 else 1.0 - q0) * self.pref[n])
-        self._update_q1(n)
-        self._update_q2(n)
-        self._update_pp(n)
+        order_pp, order_q1, order_q2 = self.cfg.aux_orders
+        self.q1[(n, n)] = self.pref[n]
+        for e in range(n):
+            pool = [i for i in range(n) if i != e]
+            self.q1[(n, e)] = self._expand(n, order_q1, pool, (e,))
+        if self.double:
+            for d in range(n):
+                self.q2[(n, d, n)] = self._resolve(n - 1, (d,))
+            for e in range(1, n):
+                for d in range(e):
+                    pool = [i for i in range(n) if i not in (d, e)]
+                    self.q2[(n, d, e)] = self._expand(n, order_q2, pool, (e, d))
+        for l in range(n + 1):
+            self.pp[(l, n)] = self._expand(n, order_pp, range(l, n), lo=l)
 
     def run(self, uniforms=None, forced=None) -> None:
         for n in range(self.M):
-            p0 = self.step_probability_zero(n)
-            denom = self.pref[n]
-            if denom <= 0.0:
-                self.flagged = True
-                q0 = 0.5 * (1.0 + float(self.kappa.values[n]))
-            else:
-                q0 = min(max(p0 / denom, 0.0), 1.0)
-            eps = self.cfg.clamp_epsilon
-            if eps > 0.0:
-                q0 = min(max(q0, eps), 1.0 - eps)
+            q0 = float(_conditional(self.step_probability_zero(n), self.pref[n],
+                                    float(self.kappa.values[n]), self.cfg.clamp_epsilon, self))
             bit = int(forced[n]) if forced is not None else int(uniforms[n] >= q0)
             self.advance(n, bit, q0)
+
+
+def _check_table(kappa: SubsetTable, config: SamplerConfig,
+                 inst: GaussianInstance | None = None) -> None:
+    """Refuse a table that is not a cumulant table, of order below K, or not of `inst`'s M."""
+    if kappa.kind != "cumulant":
+        raise ValidationError(f"the chain methods need a cumulant table, not a {kappa.kind} table")
+    if min(config.K, kappa.M) > kappa.K:
+        raise ValidationError(f"config K={config.K} exceeds table order {kappa.K}")
+    if inst is not None and inst.M != kappa.M:
+        raise ValidationError(f"table M={kappa.M} does not match instance M={inst.M}")
 
 
 def _fast_supported(config: SamplerConfig) -> bool:
@@ -829,8 +819,10 @@ def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: in
         for t in range(n):
             chain = ScalarChain(kappa, config)
             chain.run(uniforms=_sample_uniforms(config.seed, start + t, M))
-            out[t] = chain.bits
-            counts += (chain.flagged, 0, M, 0)
+            out[t] = chain.sign < 0
+            aborted[t] = chain.aborted[0]
+            counts += (chain.flagged[0], chain.n_clipped[0], M, 0)
+            excursion = max(excursion, float(chain.max_clip_excursion[0]))
     return out, aborted, counts, excursion
 
 
@@ -892,6 +884,7 @@ def batch_sample(
         return exact_reference_sampler(inst, config)
     if kappa is None:
         raise ValidationError("chain methods need the cumulant table")
+    _check_table(kappa, config, inst)
     M = kappa.M
     t0 = time.perf_counter()
     bits = np.empty((config.N, M), dtype=np.uint8)

@@ -234,6 +234,24 @@ def test_sample_table_instance_mismatch(tmp_path, capsys, table_file):
     assert "does not match" in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("kind,order,message", [
+    ("cumulant", 3, "exceeds table order 3"), ("correlator", 5, "not a correlator table"),
+])
+def test_sample_table_unfit_for_config_exit_2(tmp_path, capsys, instance_file, workers,
+                                              kind, order, message):
+    # a table of too low an order, or of correlators, for --order 5
+    table = tmp_path / "t.gbsk"
+    ctab = cu.correlator_table(g.load_instance(instance_file), K=order)
+    cu.save_table(cu.cumulants_from_correlators(ctab) if kind == "cumulant" else ctab, table)
+    out = tmp_path / "s.txt"
+    code, man, err = run_cli(capsys, "sample", "--table", str(table),
+                             "--instance", str(instance_file), "--order", "5",
+                             "--samples", "64", "--workers", workers, "--out", str(out))
+    assert code == 2 and man is None and not out.exists()
+    assert message in err
+
+
 def test_benchmark_exact_sampler(tmp_path, capsys, instance_file):
     out = tmp_path / "s.txt"
     run_cli(capsys, "sample", "--instance", str(instance_file),

@@ -1,4 +1,5 @@
 import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -151,22 +152,35 @@ def test_pp_short_intervals_exact(lossy5):
 # --- engine cross-checks ----------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "method,K,aux",
-    [("double_elision", 5, (3, 3, 2)), ("double_elision", 4, (3, 3, 2)),
-     ("double_elision", 5, (2, 2, 1)), ("single_elision", 3, (2, 2, 0))],
-)
+# every (method, K, aux) the tables accept: single elision at K <= 3 with pp and
+# q1 orders up to 2, double elision at K <= 5 with pp and q1 up to 3, q2 up to 2.
+# The four listed first keep the test ids aux0..aux3 stable.
+FIRST_CONFIGS = [("double_elision", 5, (3, 3, 2)), ("double_elision", 4, (3, 3, 2)),
+                 ("double_elision", 5, (2, 2, 1)), ("single_elision", 3, (2, 2, 0))]
+FAST_CONFIGS = FIRST_CONFIGS + [
+    config for config in [
+        ("single_elision", K, (pp, p1, 0))
+        for K in (2, 3) for pp in (1, 2) for p1 in (1, 2)
+    ] + [
+        ("double_elision", K, (pp, p1, p2))
+        for K in range(2, 6) for pp in range(1, min(K, 3) + 1)
+        for p1 in range(1, min(K, 3) + 1) for p2 in range(1, 3)
+    ] if config not in FIRST_CONFIGS
+]
+
+
+@pytest.mark.parametrize("method,K,aux", FAST_CONFIGS)
 def test_fast_engine_matches_scalar(lossy7, method, K, aux):
     inst, ktab = lossy7
     cfg = sp.SamplerConfig(N=0, K=K, method=method, aux_orders=aux)
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        bits = rng.integers(0, 2, 7).astype(np.uint8)
-        tables = sp.MarginalTables(ktab, cfg, batch=1)
-        tables.run(None, forced=bits[:, None])
+    assert sp._fast_supported(cfg)
+    bits = np.random.default_rng(7).integers(0, 2, (6, 7)).astype(np.uint8)
+    tables = sp.MarginalTables(ktab, cfg, batch=len(bits))
+    col = tables.run(None, forced=bits.T)
+    for i, row in enumerate(bits):
         chain = sp.ScalarChain(ktab, cfg)
-        chain.run(forced=bits)
-        assert tables.pref[7][0] == pytest.approx(chain.pref[7], abs=1e-14)
+        chain.run(forced=row)
+        assert tables.pref[7][col[i]] == pytest.approx(chain.pref[7], abs=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -550,3 +564,37 @@ def test_clip_counters():
             cfg = sp.SamplerConfig(N=40, K=2, method=method, seed=1, workers=workers)
             batch = sp.batch_sample(cfg, kappa=forced)
             assert batch.n_clipped == 40 and batch.max_clip_excursion == 0.25
+    # single elision at K=4 runs on ScalarChain only, which counts the same way
+    values = np.zeros(15)  # orders 1..4 of four modes
+    values[0] = 1.5
+    clipping = cu.SubsetTable(M=4, K=4, values=values, kind="cumulant")
+    # a non-finite kappa({1}) aborts every sample at step 1
+    values = values.copy()
+    values[1] = np.nan
+    broken = cu.SubsetTable(M=4, K=4, values=values, kind="cumulant")
+    for workers in (1, 2):
+        cfg = sp.SamplerConfig(N=40, K=4, method="single_elision", seed=1, workers=workers)
+        batch = sp.batch_sample(cfg, kappa=clipping)
+        assert batch.engine == "scalar" and batch.N == 40 and batch.n_failed == 0
+        assert batch.n_clipped == 40 and batch.max_clip_excursion == 0.25
+        batch = sp.batch_sample(cfg, kappa=broken)
+        assert batch.N == 0 and batch.n_failed == 40 and batch.worker_errors == []
+
+
+def test_conditional_rule():
+    # columns: non-finite p0, pref <= 0, ratio > 1, ratio < 0, ratio inside
+    p0 = np.array([np.nan, 0.3, 0.6, -0.1, 0.2])
+    pref = np.array([0.8, 0.0, 0.5, 0.5, 0.5])
+    for eps, expect in ((0.0, [0.5, 0.6, 1.0, 0.0, 0.4]), (0.25, [0.5, 0.6, 0.75, 0.25, 0.4])):
+        state = SimpleNamespace(**{name: np.zeros(5, dtype)
+                                   for name, dtype in sp._SAMPLE_STATE.items()})
+        q0 = sp._conditional(p0, pref, 0.2, eps, state)
+        assert q0 == pytest.approx(expect, abs=1e-15)
+        assert state.aborted.tolist() == [True, False, False, False, False]
+        assert state.flagged.tolist() == [False, True, False, False, False]
+        assert state.n_clipped.tolist() == [0, 0, 1, 1, 0]
+        assert state.max_clip_excursion == pytest.approx([0, 0, 0.2, 0.2, 0], abs=1e-15)
+    # the scalar engine passes floats and one-column state
+    state = SimpleNamespace(**{name: np.zeros(1, dtype) for name, dtype in sp._SAMPLE_STATE.items()})
+    assert float(sp._conditional(0.75, 0.5, 0.2, 0.0, state)) == 1.0
+    assert state.n_clipped[0] == 1 and state.max_clip_excursion[0] == 0.5
