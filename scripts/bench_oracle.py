@@ -6,11 +6,13 @@ For each M the instance is the one ``perfbench``'s ``exact-m12`` workload
 generates at M = 12 (M/4 squeezers, eta 0.5, r_max 1.0, seed 1).  Every
 measurement times ``brute_force_distribution`` in a child run as
 ``pairs.py`` runs it.  Each paired point runs the same number of
-alternating parent/change pairs.  The largest points run this tree only,
-because a parent run would take hours.  The output records each run, the
-medians and quartiles, the number of pairs in which the change was faster,
-the peak RSS of each tree, and whether the two trees' distributions are
-byte-identical.
+alternating parent/change pairs.  The points at M = 18 and 20 run this
+tree only.  The output records each run, the medians and quartiles, the
+number of pairs in which the change was faster, the peak RSS of each
+tree, and whether the two trees' distributions are byte-identical.  It
+also records each tree's sum of the returned distribution and, for a
+tree whose oracle has the private ``_click_table``, its smallest entry
+before the clamp to [0, 1] (computed again after the timed call).
 """
 
 from __future__ import annotations
@@ -20,18 +22,21 @@ import sys
 import pairs
 
 PAIRS = 5
-# (M, pairs); a parent run at M=14 takes minutes, so that point gets one pair
-PAIRED_POINTS = ((8, PAIRS), (10, PAIRS), (12, PAIRS), (14, 1))
-CHANGE_ONLY_POINTS = (16, 18)
+PAIRED_POINTS = (8, 10, 12, 14, 16)
+CHANGE_ONLY_POINTS = (18, 20)
 
 _CHILD = """
-from gbsemu.gaussian import brute_force_distribution, random_instance
+import numpy as np
+from gbsemu import gaussian
 M = int(sys.argv[2])
-inst, _ = random_instance(M, max(1, M // 4), 0.5, 1.0, seed=1)
+inst, _ = gaussian.random_instance(M, max(1, M // 4), 0.5, 1.0, seed=1)
 t0 = time.perf_counter()
-dist = brute_force_distribution(inst)
+dist = gaussian.brute_force_distribution(inst)
 t1 = time.perf_counter()
-emit(oracle_s=t1 - t0, sha256=hashlib.sha256(dist.tobytes()).hexdigest())
+table = getattr(gaussian, "_click_table", None)
+raw_min = float(table(inst, np.arange(0), np.arange(M)).min()) if table else None
+emit(oracle_s=t1 - t0, sha256=hashlib.sha256(dist.tobytes()).hexdigest(),
+     sum=float(dist.sum()), raw_min=raw_min)
 """
 
 
@@ -40,6 +45,8 @@ def side(rs: list[dict]) -> dict:
         "oracle_s": pairs.summary([r["oracle_s"] for r in rs]),
         "peak_rss_mb": max(r["peak_rss_mb"] for r in rs),
         "runs": [r["oracle_s"] for r in rs],
+        "sum": rs[0]["sum"],
+        "min_before_clamp": rs[0]["raw_min"],
     }
 
 
@@ -47,9 +54,9 @@ def main() -> int:
     args = pairs.parser(__doc__).parse_args()
     trees = pairs.trees(args)
     rows = []
-    for M, n in PAIRED_POINTS:
-        runs = pairs.run_pairs(trees, n, lambda src: pairs.measure(_CHILD, src, M), f"M={M}")
-        row = {"M": M, "pairs": n}
+    for M in PAIRED_POINTS:
+        runs = pairs.run_pairs(trees, PAIRS, lambda src: pairs.measure(_CHILD, src, M), f"M={M}")
+        row = {"M": M, "pairs": PAIRS}
         for label, rs in runs.items():
             row[label] = side(rs)
         row["speedup"] = row["parent"]["oracle_s"]["median"] / row["change"]["oracle_s"]["median"]

@@ -167,7 +167,7 @@ def cmd_sample(args) -> int:
                 "throughput_per_s": (batch.N / batch.wall_time) if batch.wall_time > 0 else 0.0,
                 "aux_values_per_sample": (
                     aux_values_per_sample(inst.M, args.method, config.K, config.aux_orders)
-                    if args.method != "exact_reference" else 0
+                    if batch.engine == "batched" else 0
                 ),
             },
         )

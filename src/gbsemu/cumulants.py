@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, ResourceGuardError, ValidationError
-from .gaussian import GaussianInstance, reduce_modes, vacuum_overlap
+from .errors import ResourceGuardError, ValidationError
+from .gaussian import GaussianInstance, _no_click_probabilities, reduce_modes, vacuum_overlap
 from .subsets import (
     colex_chunks,
     dense_rank,
@@ -183,32 +183,6 @@ def empirical_correlator_table(samples, K: int) -> SubsetTable:
             odd = _BYTE_POPCOUNT[bits].sum(axis=1, dtype=np.int64)
             values[base + start : base + start + rows.shape[0]] = (N - 2 * odd) / N
     return SubsetTable(M=M, K=K, values=values, kind="correlator")
-
-
-def _no_click_probabilities(inst: GaussianInstance, rows: np.ndarray) -> np.ndarray:
-    """Vacuum overlap of the reduced state on each subset row.
-
-    1/sqrt(det((sigma_R + hbar/2)/hbar)), times exp(-mu^T (sigma_R + hbar/2)^-1 mu / 2)
-    when the instance is displaced.
-    """
-    M, hbar = inst.M, inst.hbar
-    quad = np.concatenate([rows, rows + M], axis=1)
-    mats = inst.sigma[quad[:, :, None], quad[:, None, :]]
-    shifted = mats + (hbar / 2.0) * np.eye(quad.shape[1])
-    det = np.linalg.det(shifted / hbar)
-    bad = ~(np.isfinite(det) & (det > 0.0))
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise NumericalError(
-            f"shifted covariance of modes {tuple(int(k) for k in rows[t])} has "
-            f"determinant {det[t]!r}: input state is invalid"
-        )
-    vals = 1.0 / np.sqrt(det)
-    if inst.is_displaced:
-        mu = inst.mu[quad]
-        x = np.linalg.solve(shifted, mu[:, :, None])[:, :, 0]
-        vals *= np.exp(-0.5 * np.einsum("ij,ij->i", mu, x))
-    return vals
 
 
 def _mem_cap(explicit: int | None) -> int:

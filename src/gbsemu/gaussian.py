@@ -8,9 +8,12 @@ Conventions used throughout the package:
 * Modes are numbered 0..M-1.
 * A detection outcome is a length-M sequence of 0/1 ("click") values.
 
-The exact probability of an outcome is an alternating sum over subsets of
-the clicked modes of inverse square roots of determinants; it is tractable
-only at desk scale and serves as the oracle for everything else.
+The exact oracle starts from q(Z), the probability that no mode in Z
+clicks: the vacuum overlap of the reduced state on Z, displaced or not.
+A superset Moebius transform over the modes turns the table of q into
+outcome probabilities.  It is tractable only at desk scale and serves as
+the oracle for everything else; :func:`torontonian` is an independent
+scalar reference for undisplaced states.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ UNCERTAINTY_TOL = 1e-8
 OVERLAP_EXCESS_TOL = 1e-9
 PROBABILITY_WINDOW = 1e-9
 BRUTE_FORCE_MAX_MODES = 20
-# Matrix entries per batched determinant call, and signed terms per gather,
-# in brute_force_distribution; bounds the oracle's scratch memory.
+# Matrix entries per batched determinant call of the exact oracle; bounds
+# its scratch memory.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -308,33 +311,21 @@ def torontonian(A: np.ndarray) -> complex:
     return complex(total)
 
 
-def exact_probability(inst: GaussianInstance, bits, form: HusimiForm | None = None) -> float:
+def exact_probability(inst: GaussianInstance, bits) -> float:
     """Exact probability of a threshold-detection outcome.
 
-    The subset sum implemented by :func:`torontonian` assigns +1 to the
-    empty subset, which carries a global factor (-1)^n relative to the
-    inclusion-exclusion expansion of the click projectors; the probability
-    therefore includes a compensating (-1)^C for C clicked modes.
+    The modes that did not click are quiet and the clicked modes free in
+    :func:`_click_table`; the outcome is its last entry, in which every
+    free mode clicks.  The stages of :func:`brute_force_distribution`'s
+    transform for the unclicked modes never touch the entries that lead
+    to it, so the value is bit-identical to that array's entry.
     """
-    if inst.is_displaced:
-        raise ValidationError("displaced instances are not supported by exact_probability")
     bits = np.asarray(bits, dtype=int)
     M = inst.M
     if bits.shape != (M,) or np.any((bits != 0) & (bits != 1)):
         raise ValidationError(f"outcome must be {M} binary values")
-    if form is None:
-        form = husimi_form(inst)
-    clicked = np.flatnonzero(bits == 1)
-    C = clicked.size
-    idx = np.concatenate([clicked, clicked + M])
-    sub = form.O[np.ix_(idx, idx)]
-    val = (-1) ** C * torontonian(sub) / form.sqrt_det
-    if abs(val.imag) > PROBABILITY_WINDOW:
-        raise NumericalError(f"probability has imaginary residue {val.imag:.3e}")
-    p = val.real
-    if p < -PROBABILITY_WINDOW or p > 1.0 + PROBABILITY_WINDOW:
-        raise NumericalError(f"probability {p} outside [0, 1] window")
-    return float(min(max(p, 0.0), 1.0))
+    p = _click_table(inst, np.flatnonzero(bits == 0), np.flatnonzero(bits == 1))[-1:]
+    return float(_in_window(p)[0])
 
 
 def outcome_codes(bits: np.ndarray) -> np.ndarray:
@@ -356,96 +347,84 @@ def brute_force_distribution(inst: GaussianInstance) -> np.ndarray:
     """Exact probabilities of all 2^M outcomes in lexicographic bit order.
 
     Outcome index i has the bits ``outcome_bits`` gives: mode 0 is the
-    most significant bit.  Guarded at M <= 20.
-
-    Every mode subset R is the click set of one outcome, so its term
-    1/sqrt(det(I - O_R)) is computed once, by batched determinants, and
-    stored at that outcome's index: 2^M determinants in all.  An outcome
-    with C clicks then gathers the 2^C terms of its clicked subsets and
-    adds them in the order :func:`torontonian` does (3^M terms over all
-    outcomes), so every entry is bit-identical to :func:`exact_probability`.
+    most significant bit.  Guarded at M <= 20.  The no-click probability
+    of each of the 2^M mode subsets is computed once, by batched
+    determinants, and the superset Moebius transform of
+    :func:`_click_table` turns them into the outcome probabilities.
     """
     M = inst.M
     if M > BRUTE_FORCE_MAX_MODES:
         raise ResourceGuardError(f"brute force refused for M={M} > {BRUTE_FORCE_MAX_MODES}")
-    form = husimi_form(inst)
-    if inst.is_displaced:
-        raise ValidationError("displaced instances are not supported by exact_probability")
-    # mode_bit[k]: the index of the outcome in which only mode k clicks
-    mode_bit = outcome_codes(np.eye(M, dtype=np.int64))
-    terms = np.empty(2**M, dtype=complex)
-    out = np.empty(2**M)
-    for C in range(M + 1):
-        masks, signs = _torontonian_order(C)
-        subsets = np.array(list(combinations(range(M), C)), dtype=np.int64).reshape(comb(M, C), C)
-        step = max(1, _CHUNK_ENTRIES // max(4 * C * C, 2**C))
-        for start in range(0, subsets.shape[0], step):
-            rows = subsets[start : start + step]
-            bits = mode_bit[rows]
-            index = bits.sum(axis=1)
-            terms[index] = _inv_sqrt_dets(form.O, rows)
-            out[index] = _click_probabilities(terms, bits, masks, signs, form.sqrt_det)
-    return out
+    return _in_window(_click_table(inst, np.arange(0), np.arange(M)))
 
 
-def _torontonian_order(C: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subsets of C clicked modes in the order :func:`torontonian` adds them.
+def _click_table(inst: GaussianInstance, quiet: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Probability that no quiet mode clicks and exactly a given set of free modes does.
 
-    Returns each subset as a mask (bit j set for the j-th clicked mode) and
-    its sign (-1)^|R| as a complex number.
+    Entry i is indexed by the clicked free modes, the first free mode the
+    most significant bit.  The table g first holds, for each set Z of free
+    modes, the probability q(quiet + Z) that no mode of quiet + Z clicks
+    (:func:`_no_click_probabilities`, one batch per order, mode rows
+    sorted).  Then, for each free mode k in mode order, g[Z] -= g[Z + {k}]
+    for every Z without k: M * 2^(M-1) subtractions for all M modes free.
+    After the stages of any set of modes, g[Z] is the probability that no
+    mode of quiet + Z clicks and every staged mode outside Z does, so
+    every intermediate value is the probability of an event.  g[Z] ends as
+    the outcome in which the free modes outside Z click.
     """
-    order = [R for size in range(C + 1) for R in combinations(range(C), size)]
-    masks = np.array([sum(1 << j for j in R) for R in order], dtype=np.int64)
-    signs = np.array([(-1) ** len(R) for R in order], dtype=complex)
-    return masks, signs
+    F = free.size
+    # weight[j]: the bit of free mode j in an index of g
+    weight = outcome_codes(np.eye(F, dtype=np.int64))
+    g = np.empty(1 << F)
+    for size in range(F + 1):
+        picks = np.array(list(combinations(range(F), size)), dtype=np.int64)
+        picks = picks.reshape(comb(F, size), size)
+        n = quiet.size + size
+        step = max(1, _CHUNK_ENTRIES // max(1, 4 * n * n))
+        for start in range(0, picks.shape[0], step):
+            chunk = picks[start : start + step]
+            # C-ordered rows, as in correlator_table: for a displaced state the
+            # einsum of _no_click_probabilities adds in an order set by the layout
+            rows = np.concatenate([np.tile(quiet, (chunk.shape[0], 1)), free[chunk]], axis=1)
+            g[weight[chunk].sum(axis=1)] = _no_click_probabilities(inst, np.sort(rows, axis=1))
+    for b in range(F - 1, -1, -1):
+        stage = g.reshape(-1, 2, 1 << b)
+        stage[:, 0] -= stage[:, 1]
+    return g[::-1]
 
 
-def _inv_sqrt_dets(O: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """:func:`_inv_sqrt_det` of I - O_R for each subset row R, batched."""
-    n = rows.shape[1]
-    if n == 0:
-        return np.ones(rows.shape[0], dtype=complex)
-    M = O.shape[0] // 2
-    idx = np.concatenate([rows, rows + M], axis=1)
-    sign, logdet = np.linalg.slogdet(np.eye(2 * n) - O[idx[:, :, None], idx[:, None, :]])
-    bad = (sign == 0) | ~np.isfinite(logdet)
-    if bad.any():
-        modes = tuple(int(k) for k in rows[np.argmax(bad)])
-        raise NumericalError(f"singular matrix in subset-determinant sum (modes {modes})")
-    ang = np.angle(sign)
-    bad = np.abs(ang) >= np.pi / 2
-    if bad.any():
-        t = int(np.argmax(bad))
-        modes = tuple(int(k) for k in rows[t])
-        raise NumericalError(f"determinant real part nonpositive (arg {ang[t]:.3f}, modes {modes})")
-    return np.exp(-0.5 * logdet) * np.exp(-0.5j * ang)
-
-
-def _click_probabilities(
-    terms: np.ndarray, bits: np.ndarray, masks: np.ndarray, signs: np.ndarray, sqrt_det: float
-) -> np.ndarray:
-    """:func:`exact_probability` of each outcome row, from the subset terms.
-
-    bits[i, j] is the outcome-index bit of the j-th clicked mode of outcome
-    i.  The signed terms are added left to right in :func:`torontonian`'s
-    order.  Real and imaginary parts are divided separately, as Python's
-    complex-by-float division does; numpy's complex division multiplies by
-    a reciprocal, which can change the last bit.
-    """
-    index = np.zeros((bits.shape[0], 1), dtype=np.int64)
-    for j in range(bits.shape[1]):
-        index = np.concatenate([index, index + bits[:, j : j + 1]], axis=1)
-    total = np.add.accumulate(signs * terms[index[:, masks]], axis=1)[:, -1]
-    val = (-1) ** bits.shape[1] * total
-    p = val.real / sqrt_det
-    imag = val.imag / sqrt_det
-    bad = np.abs(imag) > PROBABILITY_WINDOW
-    if bad.any():
-        raise NumericalError(f"probability has imaginary residue {imag[np.argmax(bad)]:.3e}")
+def _in_window(p: np.ndarray) -> np.ndarray:
+    """p clamped to [0, 1]; raises when an entry lies outside the probability window."""
     bad = (p < -PROBABILITY_WINDOW) | (p > 1.0 + PROBABILITY_WINDOW)
     if bad.any():
         raise NumericalError(f"probability {p[np.argmax(bad)]} outside [0, 1] window")
     return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+def _no_click_probabilities(inst: GaussianInstance, rows: np.ndarray) -> np.ndarray:
+    """Vacuum overlap of the reduced state on each subset row.
+
+    1/sqrt(det((sigma_R + hbar/2)/hbar)), times exp(-mu^T (sigma_R + hbar/2)^-1 mu / 2)
+    when the instance is displaced.
+    """
+    M, hbar = inst.M, inst.hbar
+    quad = np.concatenate([rows, rows + M], axis=1)
+    mats = inst.sigma[quad[:, :, None], quad[:, None, :]]
+    shifted = mats + (hbar / 2.0) * np.eye(quad.shape[1])
+    det = np.linalg.det(shifted / hbar)
+    bad = ~(np.isfinite(det) & (det > 0.0))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise NumericalError(
+            f"shifted covariance of modes {tuple(int(k) for k in rows[t])} has "
+            f"determinant {det[t]!r}: input state is invalid"
+        )
+    vals = 1.0 / np.sqrt(det)
+    if inst.is_displaced:
+        mu = inst.mu[quad]
+        x = np.linalg.solve(shifted, mu[:, :, None])[:, :, 0]
+        vals *= np.exp(-0.5 * np.einsum("ij,ij->i", mu, x))
+    return vals
 
 
 def random_instance(

@@ -15,9 +15,8 @@ from gbsemu.subsets import partition_patterns
 def per_outcome_distribution(inst) -> np.ndarray:
     """All 2^M outcome probabilities, one exact_probability call per outcome."""
     M = inst.M
-    form = g.husimi_form(inst)
     return np.array([
-        g.exact_probability(inst, [(i >> (M - 1 - k)) & 1 for k in range(M)], form=form)
+        g.exact_probability(inst, [(i >> (M - 1 - k)) & 1 for k in range(M)])
         for i in range(2**M)
     ])
 

@@ -290,6 +290,31 @@ def test_sample_manifest_reports_aux_memory(tmp_path, capsys, instance_file, tab
     assert man["aux_values_per_sample"] > 0
 
 
+def test_sample_manifest_scalar_engine_reports_no_aux_memory(tmp_path, capsys, instance_file,
+                                                             table_file):
+    # K = 4 single elision runs on ScalarChain, which holds no MarginalTables columns
+    _, man, _ = run_cli(capsys, "sample", "--table", str(table_file),
+                        "--instance", str(instance_file), "--method", "single_elision",
+                        "--order", "4", "--samples", "10", "--out", str(tmp_path / "s.txt"))
+    assert man["engine"] == "scalar" and man["aux_values_per_sample"] == 0
+
+
+def test_benchmark_displaced_instance(tmp_path, capsys, instance_file):
+    inst = g.load_instance(instance_file)
+    mu = np.random.default_rng(2).normal(0.0, 0.7, 2 * inst.M)
+    inst_path = tmp_path / "displaced.json"
+    g.save_instance(inst_path, inst=g.GaussianInstance(sigma=inst.sigma, mu=mu, hbar=inst.hbar))
+    out = tmp_path / "s.txt"
+    run_cli(capsys, "sample", "--instance", str(inst_path), "--method", "exact_reference",
+            "--samples", "2000", "--seed", "3", "--out", str(out))
+    rep = tmp_path / "rep"
+    code, man, _ = run_cli(capsys, "benchmark", "--samples", str(out),
+                           "--instance", str(inst_path), "--orders", "2", "--out", str(rep))
+    assert code == 0
+    assert 0.0 <= man["summaries"][str(out)]["tvd"] < 1.0
+    assert len((rep / out.stem / "xeb.csv").read_text().splitlines()) > 1
+
+
 def test_benchmark_empty_samples(tmp_path, capsys, instance_file):
     empty = tmp_path / "empty.txt"
     empty.write_text("# gbs-samples v1 M=6 N=0 method=x K=0 seed=0\n")

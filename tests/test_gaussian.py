@@ -234,10 +234,9 @@ def test_brute_force_vacuum():
 
 def test_brute_force_matches_pointwise(inst6):
     dist = g.brute_force_distribution(inst6)
-    form = g.husimi_form(inst6)
     for i in (0, 5, 21, 63):
         bits = [(i >> (5 - k)) & 1 for k in range(6)]
-        assert dist[i] == g.exact_probability(inst6, bits, form=form)
+        assert dist[i] == g.exact_probability(inst6, bits)
 
 
 @pytest.fixture(scope="module")
@@ -257,34 +256,65 @@ def test_brute_force_independent_of_chunk_size(per_outcome10, monkeypatch):
     assert np.array_equal(g.brute_force_distribution(inst), expect)
 
 
+def test_brute_force_matches_scalar_torontonian(per_outcome10):
+    # the torontonian's alternating sum over the Husimi matrix, one outcome at a time
+    inst, _ = per_outcome10
+    form = g.husimi_form(inst)
+    dist = g.brute_force_distribution(inst)
+    for i, bits in enumerate(g.outcome_bits(np.arange(2**10), 10)):
+        clicked = np.flatnonzero(bits)
+        idx = np.concatenate([clicked, clicked + 10])
+        val = (-1) ** clicked.size * g.torontonian(form.O[np.ix_(idx, idx)]) / form.sqrt_det
+        assert abs(dist[i] - val.real) <= 1e-11
+
+
+def test_brute_force_m16_before_clamp():
+    inst, _ = g.random_instance(16, 4, 0.5, 1.0, seed=1)
+    raw = g._click_table(inst, np.arange(0), np.arange(16))
+    assert raw.min() >= -1e-12
+    assert abs(g.brute_force_distribution(inst).sum() - 1.0) <= 1e-8
+
+
 @pytest.mark.parametrize("entry, value", [((0, 1), 1.0), ((0, 0), 2.0)])
-def test_brute_force_rejects_bad_determinant(monkeypatch, entry, value):
-    # O = 0 apart from the x-block entries set here: I - O_R is singular for
-    # R = {0, 1} (O[0, 1] = O[1, 0] = 1), or has determinant -1 for R = {0}
-    # and {0, 1} (O[0, 0] = 2); every other subset is regular
-    O = np.zeros((4, 4), dtype=complex)
-    O[entry] = O[entry[::-1]] = value
-    form = g.HusimiForm(Sigma=np.eye(4), O=O, det_sigma=1.0 + 0.0j, sqrt_det=1.0)
-    monkeypatch.setattr(g, "husimi_form", lambda inst: form)
-    with pytest.raises(NumericalError):
-        g.brute_force_distribution(g.vacuum_instance(2))
-
-
-def test_brute_force_rejects_displaced():
-    inst = g.GaussianInstance(sigma=np.eye(4), mu=[0.5, 0.0, 0.0, 0.0], hbar=HBAR)
-    with pytest.raises(ValidationError):
+def test_brute_force_rejects_bad_determinant(entry, value):
+    # sigma = 0 apart from the x-block entries set here, so the shifted
+    # covariance sigma + hbar/2 is singular for the modes {0, 1}
+    # (sigma[0, 1] = sigma[1, 0] = -1), or has a negative determinant for
+    # {0} and {0, 1} (sigma[0, 0] = -2); every other subset is regular
+    inst = g.vacuum_instance(2)
+    sigma = np.zeros((4, 4))
+    sigma[entry] = sigma[entry[::-1]] = -value
+    object.__setattr__(inst, "sigma", sigma)
+    with pytest.raises(NumericalError, match=r"modes \(0,"):
         g.brute_force_distribution(inst)
+    with pytest.raises(NumericalError, match=r"modes \(0,"):
+        g.exact_probability(inst, [1, 1])
+
+
+def test_displaced_pointwise_matches_distribution():
+    base, _ = g.random_instance(6, 2, 0.5, 1.0, seed=1)
+    mu = np.random.default_rng(3).normal(0.0, 0.7, 12)
+    inst = g.GaussianInstance(sigma=base.sigma, mu=mu, hbar=HBAR)
+    dist = g.brute_force_distribution(inst)
+    for i, bits in enumerate(g.outcome_bits(np.arange(64), 6)):
+        assert dist[i] == g.exact_probability(inst, bits)
+
+
+def test_coherent_product_law():
+    # coherent states |alpha_k> (vacuum covariance, mean sqrt(2 hbar) (Re, Im)):
+    # mode k stays dark with probability exp(-|alpha_k|^2), independently
+    alpha = np.array([0.4 + 0.2j, -0.7j, 1.1, 0.25 - 0.5j])
+    mu = np.sqrt(2 * HBAR) * np.concatenate([alpha.real, alpha.imag])
+    inst = g.GaussianInstance(sigma=np.eye(8), mu=mu, hbar=HBAR)
+    p0 = np.exp(-np.abs(alpha) ** 2)
+    bits = g.outcome_bits(np.arange(16), 4)
+    expect = np.prod(np.where(bits == 1, 1.0 - p0, p0), axis=1)
+    assert np.abs(g.brute_force_distribution(inst) - expect).max() <= 1e-14
 
 
 def test_brute_force_guard():
     with pytest.raises(ResourceGuardError):
         g.brute_force_distribution(g.vacuum_instance(21))
-
-
-def test_displaced_rejected():
-    inst = g.GaussianInstance(sigma=np.eye(2), mu=[0.5, 0.0], hbar=HBAR)
-    with pytest.raises(ValidationError):
-        g.exact_probability(inst, [0])
 
 
 def test_monotone_loss():

@@ -210,6 +210,20 @@ def test_full_order_joint_probabilities(lossy5):
         assert pj == pytest.approx(dist[i], abs=1e-9)
 
 
+@pytest.mark.parametrize("M, seed", [(4, 41), (5, 11)])
+def test_full_order_joint_probabilities_displaced(M, seed):
+    # criterion 5's setting on displaced states; the full-order chain is
+    # exact only up to M = 5 (at M = 6 it is about 1e-8 off, displaced or not)
+    base, _ = g.random_instance(M=M, k=M // 2, eta=0.6, r_max=1.2, seed=seed)
+    mu = np.random.default_rng(seed).normal(0.0, 0.7, 2 * M)
+    inst = g.GaussianInstance(sigma=base.sigma, mu=mu, hbar=2.0)
+    dist = g.brute_force_distribution(inst)
+    ktab = cu.cumulants_from_correlators(cu.correlator_table(inst, K=M))
+    cfg = sp.SamplerConfig(N=0, K=M, method="double_elision", aux_orders=(M, M, M))
+    for i, bits in enumerate(g.outcome_bits(np.arange(2**M), M)):
+        assert sp.chain_joint_probability(ktab, bits, cfg) == pytest.approx(dist[i], abs=1e-9)
+
+
 # --- sampling --------------------------------------------------------------------
 
 
