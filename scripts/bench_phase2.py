@@ -21,7 +21,7 @@ import pairs
 
 PAIRS = 5
 # (M, K, pairs); a parent run at M=48 K=5 takes minutes, so that point gets two pairs
-POINTS = ((64, 3, PAIRS), (32, 5, PAIRS), (48, 5, 2), (128, 3, PAIRS))
+POINTS = ((64, 3, PAIRS), (24, 5, PAIRS), (32, 5, PAIRS), (48, 5, 2), (128, 3, PAIRS))
 
 _CHILD = """
 from gbsemu.cumulants import correlator_table, cumulants_from_correlators

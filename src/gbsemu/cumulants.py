@@ -23,9 +23,9 @@ from .errors import ResourceGuardError, ValidationError
 from .gaussian import GaussianInstance, _no_click_probabilities, reduce_modes, vacuum_overlap
 from .subsets import (
     colex_chunks,
-    dense_rank,
     order_offset,
     partition_patterns,
+    sub_subset_ranks,
     subset_rank,
     table_size,
 )
@@ -120,10 +120,12 @@ def correlator_table(
     determinant each, into the table itself, order by order.  Each order
     is then turned into correlators in place, from K down to 1: a
     correlator of order d gathers the P0 values of its sub-subsets, which
-    are of lower order (not yet converted) or its own slot.  Every entry
-    repeats the arithmetic of :func:`correlator`, so the table is
-    bit-identical to per-subset calls.  Refuses when the table would
-    exceed the memory cap (GBS_MEM_CAP_BYTES or 8 GiB).
+    are of lower order (not yet converted) or its own slot.  Each chunk of
+    order-d subsets ranks its 2^d - 1 sub-subsets once
+    (:func:`gbsemu.subsets.sub_subset_ranks`).  Every entry repeats the
+    arithmetic of :func:`correlator`, so the table is bit-identical to
+    per-subset calls.  Refuses when the table would exceed the memory cap
+    (GBS_MEM_CAP_BYTES or 8 GiB).
     """
     M = inst.M
     if not 1 <= K <= min(MAX_ORDER, M):
@@ -142,15 +144,14 @@ def correlator_table(
             values[base + start : base + start + rows.shape[0]] = _no_click_probabilities(inst, rows)
     for d in range(K, 0, -1):
         base = order_offset(M, d)
+        groups = [[_column(R) for R in combinations(range(d), r)] for r in range(1, d + 1)]
         for start, rows in colex_chunks(M, d, _CHUNK_ROWS):
+            sub = sub_subset_ranks(rows, M)
             # every gather, own span included, happens before the span is overwritten
             total = np.ones(rows.shape[0])
-            for r in range(1, d + 1):
-                ranks = np.stack(
-                    [dense_rank([rows[:, p] for p in R], M) for R in combinations(range(d), r)],
-                    axis=1,
-                )
-                total += (-2.0) ** r * values[ranks].sum(axis=1)
+            for r, cols in enumerate(groups, start=1):
+                # C-ordered, so each row sums its terms in the order of correlator()
+                total += (-2.0) ** r * values[np.ascontiguousarray(sub[:, cols])].sum(axis=1)
             values[base + start : base + start + rows.shape[0]] = (-1.0) ** d * total
     return SubsetTable(M=M, K=K, values=values, kind="correlator")
 
@@ -192,6 +193,11 @@ def _mem_cap(explicit: int | None) -> int:
     return int(env) if env else DEFAULT_MEM_CAP_BYTES
 
 
+def _column(positions) -> int:
+    """Column of :func:`sub_subset_ranks` holding the sub-subset at these row positions."""
+    return sum(1 << p for p in positions) - 1
+
+
 def _partition_transform(table: SubsetTable, use_weights: bool, kind: str) -> SubsetTable:
     M, K = table.M, table.K
     src = table.values
@@ -199,13 +205,18 @@ def _partition_transform(table: SubsetTable, use_weights: bool, kind: str) -> Su
     out[:M] = src[:M]
     for d in range(2, K + 1):
         base = order_offset(M, d)
+        terms = [
+            (pat.weight if use_weights else 1.0, [_column(block) for block in pat.blocks])
+            for pat in partition_patterns(d)
+        ]
         for start, rows in colex_chunks(M, d, _CHUNK_ROWS):
+            gathered = src[sub_subset_ranks(rows, M)]
             acc = np.zeros(rows.shape[0])
-            for pat in partition_patterns(d):
+            for weight, cols in terms:
                 prod = np.ones(rows.shape[0])
-                for block in pat.blocks:
-                    prod *= src[dense_rank([rows[:, p] for p in block], M)]
-                acc += (pat.weight if use_weights else 1.0) * prod
+                for col in cols:
+                    prod *= gathered[:, col]
+                acc += weight * prod
             out[base + start : base + start + rows.shape[0]] = acc
     return SubsetTable(M=M, K=K, values=out, kind=kind)
 

@@ -585,8 +585,9 @@ class ScalarChain:
     """Reference implementation supporting any K and aux orders up to M.
 
     Same update schedule and degenerate-elision conventions as the fast
-    engine, written with plain dictionaries and loops.  At aux orders
-    equal to M every update reduces to the untruncated expansion.  One
+    engine, written with plain dictionaries and loops.  With K and the
+    aux orders equal to M, its joint probabilities match the exact
+    distribution for M <= 5; at M = 6 they are about 2e-9 off.  One
     run draws one sample: bit n is ``sign[n] < 0``, and ``flagged``,
     ``aborted``, ``n_clipped`` and ``max_clip_excursion`` are arrays of
     one column, as in MarginalTables.

@@ -61,6 +61,31 @@ def dense_rank(cols, M: int, start: int = 0):
     return rank
 
 
+def sub_subset_ranks(rows: np.ndarray, M: int) -> np.ndarray:
+    """Dense offsets of every non-empty sub-subset of each order-d row.
+
+    Column mask - 1 holds the sub-subset {rows[:, p] : bit p of mask set},
+    for mask = 1 .. 2^d - 1, so the result is a (rows, 2^d - 1) int64
+    array; it is the transpose of a C-ordered array, so each column is
+    contiguous.  A mask's rank is the rank of the mask without its top
+    bit, plus one binomial gather and the step between the two orders'
+    offsets.
+    """
+    binom = binomials(M)
+    n, d = rows.shape
+    cols = np.ascontiguousarray(rows.T)
+    offset = [order_offset(M, r) for r in range(d + 1)]
+    out = np.empty(((1 << d) - 1, n), dtype=np.int64)
+    for mask in range(1, 1 << d):
+        top = mask.bit_length() - 1
+        r = bin(mask).count("1")
+        out[mask - 1] = binom[r][cols[top]] + (offset[r] - offset[r - 1])
+        rest = mask ^ (1 << top)
+        if rest:
+            out[mask - 1] += out[rest - 1]
+    return out.T
+
+
 def colex_chunks(M: int, d: int, chunk_rows: int):
     """Yield (colex start, rows) over all order-d subsets of range(M).
 

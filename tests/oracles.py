@@ -60,6 +60,26 @@ def plugin_click_cumulant(samples, subset) -> float:
     return total
 
 
+def partition_transform_reference(table, subset, use_weights: bool) -> float:
+    """One subset's entry of the partition transform, one scalar at a time.
+
+    Order 1 passes through.  Otherwise, for each pattern of
+    partition_patterns(d), the product of the table's values on its blocks
+    in block order, then acc += w * prod; w is the pattern's weight for
+    correlators -> cumulants and 1 for cumulants -> correlators.
+    """
+    subset = tuple(subset)
+    if len(subset) == 1:
+        return table.value(subset)
+    acc = 0.0
+    for pat in partition_patterns(len(subset)):
+        prod = 1.0
+        for block in pat.blocks:
+            prod *= table.value(tuple(subset[p] for p in block))
+        acc += (pat.weight if use_weights else 1.0) * prod
+    return acc
+
+
 def reference_step_probability(dist, kappa, bits, n: int, x_n: int) -> float:
     """Untruncated chain-rule step with exact marginals.
 

@@ -61,6 +61,7 @@ def test_precompute(tmp_path, capsys, instance_file):
     )
     assert code == 0
     assert man["phase1_s"] >= 0 and man["phase2_s"] > 0
+    assert man["transform_s"] > 0 and man["save_s"] > 0
     ktab = cu.load_table(table)
     assert ktab.kind == "cumulant" and ktab.K == 4
     ctab = cu.load_table(table.with_suffix(".gbsc"))

@@ -9,7 +9,7 @@ from gbsemu.benchmark import estimate_correlator
 from gbsemu.errors import NumericalError, ResourceGuardError, ValidationError
 from gbsemu.subsets import subset_rank, table_size
 
-from oracles import correlator_from_dist
+from oracles import correlator_from_dist, partition_transform_reference
 
 
 # --- correlators -----------------------------------------------------------------
@@ -115,6 +115,16 @@ def test_table_independent_of_chunk_size(monkeypatch):
     assert caps == [7] * 11
 
 
+def test_table_matches_per_subset_calls_k5_small_chunks(monkeypatch):
+    # 7-row chunks split every order-5 group over many chunks
+    monkeypatch.setattr(cu, "_CHUNK_ROWS", 7)
+    inst, _ = g.random_instance(M=9, k=4, eta=0.6, r_max=1.0, seed=21)
+    ctab = cu.correlator_table(inst, K=5)
+    for d in range(1, 6):
+        for S in combinations(range(9), d):
+            assert ctab.values[subset_rank(S, 9, 5)] == cu.correlator(inst, S)
+
+
 def test_displaced_table_matches_per_subset_calls():
     rng = np.random.default_rng(4)
     base, _ = g.random_instance(M=6, k=3, eta=0.6, r_max=1.0, seed=3)
@@ -198,6 +208,17 @@ def test_roundtrip_real_instance(tables6):
     ctab, ktab = tables6
     back = cu.correlators_from_cumulants(ktab)
     assert np.abs(back.values - ctab.values).max() < 1e-12
+
+
+def test_transform_matches_per_subset_reference_k5():
+    inst, _ = g.random_instance(M=9, k=4, eta=0.6, r_max=1.0, seed=21)
+    ctab = cu.correlator_table(inst, K=5)
+    ktab = cu.cumulants_from_correlators(ctab)
+    back = cu.correlators_from_cumulants(ktab)
+    for d in range(1, 6):
+        for S in combinations(range(9), d):
+            assert ktab.value(S) == partition_transform_reference(ctab, S, use_weights=True)
+            assert back.value(S) == partition_transform_reference(ktab, S, use_weights=False)
 
 
 def test_roundtrip_random_tables():

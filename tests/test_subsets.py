@@ -11,6 +11,7 @@ from gbsemu.subsets import (
     dense_rank,
     order_offset,
     partition_patterns,
+    sub_subset_ranks,
     subset_rank,
     table_size,
 )
@@ -60,6 +61,17 @@ def test_rank_unrank_roundtrip():
         colex = sorted(combinations(range(6), d), key=lambda s: s[::-1])
         rows = np.concatenate([r for _, r in colex_chunks(6, d, 7)])
         assert rows.tolist() == [list(S) for S in colex]
+
+
+def test_sub_subset_ranks_match_dense_rank():
+    for M in (6, 13):
+        for d in range(1, 7):
+            for _, rows in islice(colex_chunks(M, d, 50), 3):
+                sub = sub_subset_ranks(rows, M)
+                assert sub.shape == (len(rows), 2**d - 1)
+                for mask in range(1, 2**d):
+                    cols = [rows[:, p] for p in range(d) if mask >> p & 1]
+                    assert np.array_equal(sub[:, mask - 1], dense_rank(cols, M))
 
 
 def test_rank_errors():
