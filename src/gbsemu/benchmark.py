@@ -99,17 +99,15 @@ def pearson(xs, ys) -> float:
 
 
 def _ranks(xs: np.ndarray) -> np.ndarray:
-    """Average ranks with ties."""
+    """Average ranks with ties (each NaN is its own run)."""
     order = np.argsort(xs, kind="stable")
-    ranks = np.empty(xs.size)
     sorted_x = xs[order]
-    i = 0
-    while i < xs.size:
-        j = i
-        while j + 1 < xs.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    new_run = np.ones(xs.size, dtype=bool)
+    new_run[1:] = sorted_x[1:] != sorted_x[:-1]
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], xs.size) - 1
+    ranks = np.empty(xs.size)
+    ranks[order] = (0.5 * (starts + ends) + 1.0)[np.cumsum(new_run) - 1]
     return ranks
 
 

@@ -449,8 +449,8 @@ def random_instance(
         raise ValidationError("eta must lie in (0, 1]")
     if not 1 <= 2 * k <= M:
         raise ValidationError(f"need 1 <= k and 2k <= M, got k={k}, M={M}; see vacuum_instance")
-    if r_max < 0:
-        raise ValidationError("r_max must be nonnegative")
+    if not 0 <= r_max < np.inf:
+        raise ValidationError("r_max must be nonnegative and finite")
     rng = np.random.default_rng(seed)
     Z = (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))) / np.sqrt(2.0)
     Q, R = np.linalg.qr(Z)
@@ -494,6 +494,14 @@ def save_instance(path, inst: GaussianInstance = None, spec: JiuzhangSpec = None
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+def _array(payload: dict, name: str, path) -> np.ndarray:
+    """payload[name] as a float array; a missing or non-numeric value is a ValidationError."""
+    try:
+        return np.asarray(payload[name], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"instance file {path}: {name!r} missing or not numeric ({exc})") from None
+
+
 def load_instance(path) -> GaussianInstance:
     """Read an instance file; the squeezer form is converted to a covariance."""
     try:
@@ -502,20 +510,22 @@ def load_instance(path) -> GaussianInstance:
         raise ValidationError(f"cannot read instance file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "M" not in payload or "hbar" not in payload:
         raise ValidationError(f"instance file {path} missing M/hbar")
-    M = int(payload["M"])
-    hbar = float(payload["hbar"])
+    M, hbar = payload["M"], _array(payload, "hbar", path)
+    if type(M) is not int or hbar.ndim:
+        raise ValidationError(f"instance file {path}: M must be an integer and hbar a number")
     has_cov = "sigma" in payload
     has_jz = "r" in payload or "T_re" in payload or "T_im" in payload
     if has_cov == has_jz:
         raise ValidationError("instance file must contain exactly one of the two forms")
     if has_cov:
-        sigma = np.asarray(payload["sigma"], dtype=float)
-        mu = np.asarray(payload["mu"], dtype=float) if "mu" in payload else None
-        inst = GaussianInstance(sigma=sigma, mu=mu, hbar=hbar)
+        mu = _array(payload, "mu", path) if "mu" in payload else None
+        inst = GaussianInstance(sigma=_array(payload, "sigma", path), mu=mu, hbar=float(hbar))
     else:
-        T = np.asarray(payload["T_re"], dtype=float) + 1j * np.asarray(payload["T_im"], dtype=float)
-        spec = JiuzhangSpec(r=np.asarray(payload["r"], dtype=float), T=T)
-        inst = instance_from_jiuzhang(spec, hbar=hbar)
+        T_re, T_im = _array(payload, "T_re", path), _array(payload, "T_im", path)
+        if T_re.shape != T_im.shape:
+            raise ValidationError(f"instance file {path}: T_re {T_re.shape} and T_im {T_im.shape} differ")
+        spec = JiuzhangSpec(r=_array(payload, "r", path), T=T_re + 1j * T_im)
+        inst = instance_from_jiuzhang(spec, hbar=float(hbar))
     if inst.M != M:
         raise ValidationError(f"instance file declares M={M} but data has M={inst.M}")
     return inst

@@ -22,14 +22,14 @@ trailing batch axis) so the per-sample Python overhead is amortized; a
 scalar engine with the same update schedule supports arbitrary expansion
 orders and doubles as a cross-check oracle in the tests.
 
-Randomness is counter-based: the uniforms of sample i are a pure function
-of (seed, i), so batches are reproducible and independent of worker count.
+Randomness is counter-based: the uniforms of sample i are the first M doubles
+of ``Generator(Philox(key=seed mod 2**64, counter=i * ceil(M / 4)))``, so
+batches are reproducible and independent of worker count.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -75,8 +75,8 @@ class SamplerConfig:
             aux = self.aux_orders
             if aux is None:
                 aux = tuple(min(a, self.K) for a in _DEFAULT_AUX[self.method])
-            if len(aux) != 3 or any(a > self.K for a in aux):
-                raise ValidationError(f"aux orders {aux} must be three values <= K")
+            if len(aux) != 3 or any(not 0 <= a <= self.K for a in aux):
+                raise ValidationError(f"aux orders {aux} must be three values in [0, K]")
             object.__setattr__(self, "aux_orders", tuple(aux))
         if not 0.0 <= self.clamp_epsilon < 0.5:
             raise ValidationError("clamp_epsilon must lie in [0, 0.5)")
@@ -109,31 +109,16 @@ class SampleBatch:
     n_deferred: int = 0
 
 
-_STREAM_BLOCK = 64
+def _stream_uniforms(seed: int, start: int, count: int, M: int) -> np.ndarray:
+    """Uniforms for samples start..start+count-1, shape (count, M), from one generator.
 
-
-def _stream_uniforms(seed: int, start: int, count: int, M: int, out=None) -> np.ndarray:
-    """Uniforms for samples start..start+count-1, shape (count, M), written to `out` if given.
-
-    Sample i reads row i mod 64 of the Philox stream keyed (seed, i // 64):
+    Sample i reads the first M doubles from Philox counter i * ceil(M / 4):
     a pure function of (seed, i, M), so output never depends on how samples
     are chunked over batches or workers.
     """
-    out = np.empty((count, M)) if out is None else out
-    first = start // _STREAM_BLOCK
-    last = (start + count - 1) // _STREAM_BLOCK
-    for blk in range(first, last + 1):
-        gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), blk]))
-        rows = gen.random((_STREAM_BLOCK, M))
-        lo = max(start, blk * _STREAM_BLOCK)
-        hi = min(start + count, (blk + 1) * _STREAM_BLOCK)
-        out[lo - start : hi - start] = rows[lo - blk * _STREAM_BLOCK : hi - blk * _STREAM_BLOCK]
-    return out
-
-
-def _sample_uniforms(seed: int, index: int, M: int) -> np.ndarray:
-    """The M uniforms of sample `index`."""
-    return _stream_uniforms(seed, index, 1, M)[0]
+    words = -(-M // 4)  # Philox counter steps per sample, 4 doubles each
+    gen = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1), counter=start * words))
+    return gen.random((count, 4 * words))[:, :M]
 
 
 # per-column outcomes of a chain run besides its tables, and their dtypes
@@ -803,8 +788,7 @@ def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: in
         fresh = 0
         while fresh < n or idx.size:
             take = min(u.shape[1] - idx.size, n - fresh)
-            _stream_uniforms(config.seed, start + fresh, take, M,
-                             out=u[:, idx.size : idx.size + take].T)
+            u[:, idx.size : idx.size + take] = _stream_uniforms(config.seed, start + fresh, take, M).T
             idx = np.concatenate([idx, np.arange(fresh, fresh + take)])
             fresh += take
             col = tables.run(u[:, : idx.size])
@@ -819,7 +803,7 @@ def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: in
     else:
         for t in range(n):
             chain = ScalarChain(kappa, config)
-            chain.run(uniforms=_sample_uniforms(config.seed, start + t, M))
+            chain.run(uniforms=_stream_uniforms(config.seed, start + t, 1, M)[0])
             out[t] = chain.sign < 0
             aborted[t] = chain.aborted[0]
             counts += (chain.flagged[0], chain.n_clipped[0], M, 0)
@@ -856,7 +840,7 @@ def exact_reference_sampler(inst: GaussianInstance, config: SamplerConfig) -> Sa
     t0 = time.perf_counter()
     cdf = np.cumsum(brute_force_distribution(inst))
     cdf[-1] = 1.0
-    u = _stream_uniforms(config.seed, 0, config.N, 1)[:, 0] if config.N else np.empty(0)
+    u = _stream_uniforms(config.seed, 0, config.N, 1)[:, 0]
     codes = np.minimum(np.searchsorted(cdf, u, side="right"), 2**M - 1)
     bits = outcome_bits(codes, M)
     wall = time.perf_counter() - t0
@@ -897,6 +881,7 @@ def batch_sample(
         if config.workers <= 1:
             bits, aborted, counts, excursion = _chunk_chain(kappa, config, 0, config.N)
         else:
+            from concurrent.futures import ProcessPoolExecutor
             # two chunks per worker; samples share prefixes within a chunk
             chunk = max(32, -(-config.N // (config.workers * 2)))
             tasks = [(s, min(s + chunk, config.N)) for s in range(0, config.N, chunk)]

@@ -118,6 +118,24 @@ def test_spearman_tie_handling():
     assert bm.spearman(xs, ys) == pytest.approx(1.0)
 
 
+def _ranks_reference(xs):
+    """Average ranks one value at a time; NaNs rank last, each on its own, in input order."""
+    finite = [x for x in xs if x == x]
+    nans = iter(range(len(finite) + 1, len(xs) + 1))
+    return [sum(y < x for y in finite) + (sum(y == x for y in finite) + 1) / 2
+            if x == x else next(nans) for x in xs]
+
+
+@pytest.mark.parametrize("xs", [
+    [], [2.0], [3.0, 1.0, 3.0, 3.0, 0.0, 1.0],
+    np.round(np.random.default_rng(5).random(200) * 9),
+    [np.nan, 1.0, np.nan, 1.0, -0.0, 0.0, np.inf],
+])
+def test_ranks_match_scalar_reference(xs):
+    xs = np.asarray(xs, dtype=float)
+    assert bm._ranks(xs).tolist() == _ranks_reference(xs.tolist())
+
+
 def test_spearman_permutation_invariance():
     rng = np.random.default_rng(3)
     xs, ys = rng.random(30), rng.random(30)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,18 +85,24 @@ _NON_FINITE_INSTANCES = {
 }
 
 
-@pytest.mark.parametrize("name", list(_NON_FINITE_INSTANCES))
-def test_precompute_non_finite_instance_exit_2(tmp_path, capsys, name):
+def _precompute_edited_instance(tmp_path, capsys, edit):
+    """precompute on a 4-mode covariance file whose payload `edit` changed; no table may appear."""
     inst, _ = g.random_instance(4, 2, eta=0.5, r_max=1.0, seed=1)
     payload = {"hbar": inst.hbar, "M": inst.M, "sigma": inst.sigma.tolist()}
-    _NON_FINITE_INSTANCES[name](payload)
-    path = tmp_path / f"{name}.json"
+    edit(payload)
+    path = tmp_path / "edited.json"
     path.write_text(json.dumps(payload))
     code, _, err = run_cli(capsys, "precompute", "--instance", str(path),
                            "--order", "2", "--out", str(tmp_path / "t.gbsk"))
+    assert not (tmp_path / "t.gbsk").exists()
+    return code, err
+
+
+@pytest.mark.parametrize("name", list(_NON_FINITE_INSTANCES))
+def test_precompute_non_finite_instance_exit_2(tmp_path, capsys, name):
+    code, err = _precompute_edited_instance(tmp_path, capsys, _NON_FINITE_INSTANCES[name])
     assert code == 2
     assert "finite" in err
-    assert not (tmp_path / "t.gbsk").exists()
 
 
 def test_precompute_non_finite_transmission_exit_2(tmp_path, capsys, instance_file):
@@ -104,6 +114,32 @@ def test_precompute_non_finite_transmission_exit_2(tmp_path, capsys, instance_fi
                            "--order", "2", "--out", str(tmp_path / "t.gbsk"))
     assert code == 2
     assert "finite" in err
+
+
+def _squeezer_form(p):
+    _, spec = g.random_instance(4, 2, eta=0.5, r_max=1.0, seed=1)
+    del p["sigma"]
+    p.update(r=spec.r.tolist(), T_re=spec.T.real.tolist(), T_im=spec.T.imag.tolist())
+    return p
+
+
+_MALFORMED_INSTANCES = {
+    "M_string": lambda p: p.update(M="abc"),
+    "M_fraction": lambda p: p.update(M=p["M"] + 0.7),
+    "hbar_string": lambda p: p.update(hbar="x"),
+    "sigma_string": lambda p: p.update(sigma="abc"),
+    "sigma_ragged": lambda p: p["sigma"][0].pop(),
+    "mu_string": lambda p: p.update(mu=["a"] + [0.0] * (2 * p["M"] - 1)),
+    "T_im_missing": lambda p: _squeezer_form(p).pop("T_im"),
+    "T_im_one_row": lambda p: _squeezer_form(p).update(T_im=[[0.0] * p["M"]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED_INSTANCES))
+def test_precompute_malformed_instance_exit_2(tmp_path, capsys, name):
+    code, err = _precompute_edited_instance(tmp_path, capsys, _MALFORMED_INSTANCES[name])
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_precompute_count_field(tmp_path, capsys):
@@ -253,6 +289,25 @@ def test_sample_table_unfit_for_config_exit_2(tmp_path, capsys, instance_file, w
     assert message in err
 
 
+@pytest.mark.parametrize("method", ["single_elision", "double_elision"])
+def test_sample_negative_aux_orders_exit_2(tmp_path, capsys, instance_file, table_file, method):
+    out = tmp_path / "s.txt"
+    code, _, err = run_cli(capsys, "sample", "--instance", str(instance_file),
+                           "--table", str(table_file), "--method", method, "--samples", "5",
+                           "--aux-orders=-1,-5,0", "--out", str(out))
+    assert code == 2
+    assert "aux orders" in err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_out_process_pool():
+    code = ("import sys, gbsemu.cli; "
+            "assert 'concurrent.futures.process' not in sys.modules, 'process pool imported'")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_benchmark_exact_sampler(tmp_path, capsys, instance_file):
     out = tmp_path / "s.txt"
     run_cli(capsys, "sample", "--instance", str(instance_file),
@@ -396,6 +451,8 @@ _BAD_ARGV = {
     "no_squeezers": (_GEN + ["--modes", "4", "--squeezers", "0"], "k=0"),
     "negative_squeezers": (_GEN + ["--modes", "4", "--squeezers", "-1"], "k=-1"),
     "no_modes": (_GEN + ["--modes", "0", "--squeezers", "0"], "M=0"),
+    "rmax_nan": (_GEN + ["--modes", "4", "--squeezers", "2", "--rmax", "nan"], "r_max"),
+    "rmax_inf": (_GEN + ["--modes", "4", "--squeezers", "2", "--rmax", "inf"], "r_max"),
 }
 
 

@@ -365,13 +365,26 @@ def test_sample_one_matches_batch(lossy7):
         assert np.array_equal(sp.sample_one(ktab, cfg, index=i), batch.bitstrings[i])
 
 
+def test_stream_calls_concatenate():
+    parts = [sp._stream_uniforms(11, s, n, 7) for s, n in ((0, 1), (1, 70), (71, 229))]
+    assert np.array_equal(np.concatenate(parts), sp._stream_uniforms(11, 0, 300, 7))
+
+
+def test_stream_definition():
+    # sample i: the first M doubles of Philox keyed seed mod 2**64 from counter i * ceil(M / 4)
+    seed, M = -5, 7
+    for i in (0, 1, 63, 64, 1000):
+        gen = np.random.Generator(np.random.Philox(key=seed % 2**64, counter=i * 2))
+        assert np.array_equal(sp._stream_uniforms(seed, i, 1, M)[0], gen.random(M))
+
+
 def test_prefix_monotone_and_conditional_range(lossy7):
     _, ktab = lossy7
     cfg = sp.SamplerConfig(N=0, K=5, method="double_elision")
     tables = sp.MarginalTables(ktab, cfg, batch=16)
     u = np.empty((7, 16))
     for t in range(16):
-        u[:, t] = sp._sample_uniforms(3, t, 7)
+        u[:, t] = sp._stream_uniforms(3, t, 1, 7)[0]
     tables.run(u)
     pref = tables.pref
     for n in range(7):
