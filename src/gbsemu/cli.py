@@ -33,6 +33,7 @@ from .cumulants import (
 from .errors import GbsError, ValidationError
 from .gaussian import load_instance, random_instance, save_instance
 from .sampler import (
+    METHODS,
     SamplerConfig,
     aux_values_per_sample,
     batch_sample,
@@ -133,11 +134,11 @@ def cmd_precompute(args) -> int:
 def cmd_sample(args) -> int:
     t0 = time.perf_counter()
     inst = load_instance(args.instance)
-    kappa = None
-    if args.method != "exact_reference":
-        if not args.table:
-            raise ValidationError("chain methods need --table")
-        kappa = load_table(args.table)
+    if args.method == "exact_reference" and args.table:
+        raise ValidationError("exact_reference reads no --table")
+    if args.method != "exact_reference" and not args.table:
+        raise ValidationError("chain methods need --table")
+    kappa = load_table(args.table) if args.table else None
     config = SamplerConfig(
         N=args.samples, K=args.order, method=args.method, aux_orders=args.aux_orders,
         seed=args.seed, workers=args.workers, clamp_epsilon=args.clamp_epsilon,
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", default="double_elision",
-                   choices=["single_elision", "double_elision", "exact_reference"])
+                   choices=METHODS)
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

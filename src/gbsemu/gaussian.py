@@ -494,9 +494,16 @@ def save_instance(path, inst: GaussianInstance = None, spec: JiuzhangSpec = None
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+def _numeric(value) -> bool:
+    """A JSON number, or a list of them at any depth; a boolean is no number."""
+    return type(value) in (int, float) or (type(value) is list and all(map(_numeric, value)))
+
+
 def _array(payload: dict, name: str, path) -> np.ndarray:
     """payload[name] as a float array; a missing or non-numeric value is a ValidationError."""
     try:
+        if not _numeric(payload[name]):
+            raise TypeError("not every value is a JSON number")
         return np.asarray(payload[name], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"instance file {path}: {name!r} missing or not numeric ({exc})") from None

@@ -69,7 +69,11 @@ class SamplerConfig:
             raise ValidationError(f"unknown method {self.method!r}")
         if self.N < 0 or self.workers < 1:
             raise ValidationError("N must be >= 0 and workers >= 1")
-        if self.method != "exact_reference":
+        if self.method == "exact_reference":
+            if self.aux_orders is not None or self.clamp_epsilon or self.workers > 1:
+                raise ValidationError(
+                    "exact_reference takes no aux orders or clamp epsilon, and one worker")
+        else:
             if self.K < 2:
                 raise ValidationError("truncation order must be at least 2")
             aux = self.aux_orders
@@ -99,7 +103,7 @@ class SampleBatch:
     # conditionals p0 / pref clipped into [0, 1], and the largest distance clipped
     n_clipped: int = 0
     max_clip_excursion: float = 0.0
-    # "<exception type>: <message>" of each worker chunk that raised
+    # "<exception type>: <message>" of each worker range that raised
     worker_errors: list[str] = field(default_factory=list)
     # "batched" (MarginalTables), "scalar" (ScalarChain) or "exact"
     engine: str = ""
@@ -811,17 +815,9 @@ def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: in
     return out, aborted, counts, excursion
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(kappa_values, M, K, config):
-    _POOL_STATE["kappa"] = SubsetTable(M=M, K=K, values=kappa_values, kind="cumulant")
-    _POOL_STATE["config"] = config
-
-
-def _pool_chunk(args):
-    start, stop = args
-    return (start,) + _chunk_chain(_POOL_STATE["kappa"], _POOL_STATE["config"], start, stop)
+def _pool_chunk(kappa: SubsetTable, config: SamplerConfig, start: int, stop: int):
+    """One pool task: a sample range, run by whatever the module global _chunk_chain is."""
+    return _chunk_chain(kappa, config, start, stop)
 
 
 def sample_one(kappa: SubsetTable, config: SamplerConfig, index: int = 0) -> np.ndarray:
@@ -858,10 +854,12 @@ def batch_sample(
 ) -> SampleBatch:
     """Generate N samples; chain methods need the cumulant table.
 
-    Sample i is drawn from stream (seed, i) regardless of how samples are
-    chunked over workers, so the output is byte-identical for any worker
-    count.  Aborted samples (non-finite table values) are dropped and
-    counted; the batch is then partial.
+    N is split into one contiguous range of ceil(N / workers) samples per
+    worker; one worker runs its range in-process, more run one pool task
+    each.  Sample i is drawn from stream (seed, i) whatever its range, so
+    the output is byte-identical for any worker count.  Aborted samples
+    (non-finite table values) and the ranges of tasks that raised are
+    dropped and counted; the batch is then partial.
     """
     if config.method == "exact_reference":
         if inst is None:
@@ -877,30 +875,24 @@ def batch_sample(
     counts = np.zeros(len(_COUNTS), dtype=np.int64)
     excursion = 0.0
     worker_errors = []
-    if config.N > 0:
-        if config.workers <= 1:
-            bits, aborted, counts, excursion = _chunk_chain(kappa, config, 0, config.N)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            # two chunks per worker; samples share prefixes within a chunk
-            chunk = max(32, -(-config.N // (config.workers * 2)))
-            tasks = [(s, min(s + chunk, config.N)) for s in range(0, config.N, chunk)]
-            with ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_pool_init,
-                initargs=(kappa.values, kappa.M, kappa.K, config),
-            ) as ex:
-                futures = {ex.submit(_pool_chunk, t): t for t in tasks}
-                for fut, (s, e) in futures.items():
-                    try:
-                        start, out, ab, cnt, ex = fut.result()
-                        bits[start : start + out.shape[0]] = out
-                        aborted[start : start + out.shape[0]] = ab
-                        counts += cnt
-                        excursion = max(excursion, ex)
-                    except Exception as exc:
-                        worker_errors.append(f"{type(exc).__name__}: {exc}")
-                        aborted[s:e] = True
+    size = max(1, -(-config.N // config.workers))
+    ranges = [(s, min(s + size, config.N)) for s in range(0, config.N, size)]
+    if config.workers > 1 and ranges:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            tasks = [pool.submit(_pool_chunk, kappa, config, s, e) for s, e in ranges]
+        # a task that raised yields its exception in place of its result
+        results = [task.exception() or task.result() for task in tasks]
+    else:
+        results = [_chunk_chain(kappa, config, s, e) for s, e in ranges]
+    for (s, e), result in zip(ranges, results):
+        if isinstance(result, BaseException):
+            worker_errors.append(f"{type(result).__name__}: {result}")
+            aborted[s:e] = True
+            continue
+        bits[s:e], aborted[s:e], range_counts, range_excursion = result
+        counts += range_counts
+        excursion = max(excursion, range_excursion)
     keep = ~aborted
     bits = bits[keep]
     wall = time.perf_counter() - t0

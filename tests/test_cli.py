@@ -132,6 +132,13 @@ _MALFORMED_INSTANCES = {
     "mu_string": lambda p: p.update(mu=["a"] + [0.0] * (2 * p["M"] - 1)),
     "T_im_missing": lambda p: _squeezer_form(p).pop("T_im"),
     "T_im_one_row": lambda p: _squeezer_form(p).update(T_im=[[0.0] * p["M"]]),
+    # JSON booleans are not numbers, though numpy reads true as 1.0
+    "hbar_true": lambda p: p.update(hbar=True),
+    "sigma_bool": lambda p: p.update(sigma=np.eye(2 * p["M"], dtype=bool).tolist()),
+    "mu_bool": lambda p: p.update(mu=[True] + [0.0] * (2 * p["M"] - 1)),
+    "r_bool": lambda p: _squeezer_form(p).update(r=[True] * len(p["r"])),
+    "T_re_bool": lambda p: _set_first(_squeezer_form(p), "T_re", False),
+    "T_im_bool": lambda p: _set_first(_squeezer_form(p), "T_im", False),
 }
 
 
@@ -216,7 +223,8 @@ def test_sample_roundtrip(tmp_path, capsys, instance_file, table_file):
 ])
 def test_sample_manifest_names_engine(tmp_path, capsys, instance_file, table_file,
                                       method, order, engine):
-    code, man, _ = run_cli(capsys, "sample", "--table", str(table_file),
+    table = [] if method == "exact_reference" else ["--table", str(table_file)]
+    code, man, _ = run_cli(capsys, "sample", *table,
                            "--instance", str(instance_file), "--method", method,
                            "--order", order, "--samples", "3", "--out", str(tmp_path / "s.txt"))
     assert code == 0 and man["engine"] == engine
@@ -251,6 +259,19 @@ def test_sample_exact_reference_guard(tmp_path, capsys):
                          "--method", "exact_reference", "--samples", "5",
                          "--out", str(tmp_path / "s.txt"))
     assert code == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--aux-orders=9,9,9"], ["--clamp-epsilon", "0.3"], ["--workers", "3"],
+    ["--table", "never-read.gbsk"],
+])
+def test_sample_exact_reference_refuses_chain_flags(tmp_path, capsys, instance_file, flags):
+    out = tmp_path / "s.txt"
+    code, man, err = run_cli(capsys, "sample", "--instance", str(instance_file),
+                             "--method", "exact_reference", "--samples", "5", *flags,
+                             "--out", str(out))
+    assert code == 2 and man is None and not out.exists()
+    assert "exact_reference" in err
 
 
 def test_sample_chain_method_requires_table(tmp_path, capsys, instance_file):

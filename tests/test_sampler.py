@@ -319,11 +319,13 @@ def test_batch_empty():
     assert batch.N == 0 and batch.bitstrings.shape == (0, 3)
 
 
-def test_worker_count_invariance(lossy7):
+@pytest.mark.parametrize("N,workers", [(300, 2), (300, 3), (3, 4)])
+def test_worker_count_invariance(lossy7, N, workers):
+    # uneven ranges, and more workers than samples
     _, ktab = lossy7
-    kw = dict(N=300, K=5, method="double_elision", seed=9)
+    kw = dict(N=N, K=5, method="double_elision", seed=9)
     b1 = sp.batch_sample(sp.SamplerConfig(workers=1, **kw), kappa=ktab)
-    b2 = sp.batch_sample(sp.SamplerConfig(workers=2, **kw), kappa=ktab)
+    b2 = sp.batch_sample(sp.SamplerConfig(workers=workers, **kw), kappa=ktab)
     assert np.array_equal(b1.bitstrings, b2.bitstrings)
 
 
@@ -343,8 +345,19 @@ def test_worker_error_message_recorded(lossy7, monkeypatch):
     monkeypatch.setattr(sp, "_chunk_chain", failing)
     cfg = sp.SamplerConfig(N=128, K=5, method="double_elision", seed=9, workers=2)
     batch = sp.batch_sample(cfg, kappa=ktab)
-    assert batch.worker_errors == ["FloatingPointError: chunk 0..32 overflowed"]
-    assert batch.n_failed == 32 and batch.N == 96
+    assert batch.worker_errors == ["FloatingPointError: chunk 0..64 overflowed"]
+    assert batch.n_failed == 64 and batch.N == 64
+
+
+def test_one_worker_error_raises(lossy7, monkeypatch):
+    _, ktab = lossy7
+
+    def failing(kappa, config, start, stop):
+        raise FloatingPointError("overflowed")
+
+    monkeypatch.setattr(sp, "_chunk_chain", failing)
+    with pytest.raises(FloatingPointError):
+        sp.batch_sample(sp.SamplerConfig(N=16, K=5, seed=9), kappa=ktab)
 
 
 def test_batch_size_invariance(lossy7, monkeypatch):
