@@ -37,8 +37,9 @@ MOMENT_MAX_ORDER = 12
 _CHUNK_ROWS = 4096
 # Bytes of packed parity bits per chunk of the empirical kernel, whatever N is.
 _PACKED_CHUNK_BYTES = 1 << 20
-# Set bits of every byte value.
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# SWAR popcount masks: alternate bits, bit pairs, nibbles; and the byte-sum multiplier
+_M1, _M2, _M4, _H01 = (np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
 
 _MAGIC = {"correlator": b"GBSC", "cumulant": b"GBSK"}
 _FILE_VERSION = 1
@@ -68,6 +69,10 @@ class SubsetTable:
 
     def value(self, subset) -> float:
         return float(self.values[subset_rank(tuple(subset), self.M, self.K)])
+
+    def __reduce__(self):
+        # unpickling runs the constructor, so a copy in a worker is read-only too
+        return (SubsetTable, (self.M, self.K, self.values, self.kind))
 
 
 @lru_cache(maxsize=64)
@@ -161,10 +166,11 @@ def empirical_correlator_table(samples, K: int) -> SubsetTable:
 
     Each entry is (N - 2*odd)/N, odd being the number of samples with an
     odd click count on the subset, so it equals
-    :func:`gbsemu.benchmark.estimate_correlator`.  The mode columns are
-    bit-packed along the samples; a subset's parities are the XOR of its
-    columns, counted with a byte popcount table.  Chunks hold at most
-    _PACKED_CHUNK_BYTES of packed bits.
+    :func:`gbsemu.benchmark.estimate_correlator`.  Each mode's column is
+    bit-packed along the samples into ceil(N/64) 64-bit words, zero-padded
+    past N.  A subset's parities are the XOR of its columns' words, and odd
+    is their total SWAR popcount (:func:`_popcount64`), so the padding adds
+    nothing.  Chunks hold at most _PACKED_CHUNK_BYTES of packed words.
     """
     arr = np.asarray(samples, dtype=np.uint8)
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -172,8 +178,11 @@ def empirical_correlator_table(samples, K: int) -> SubsetTable:
     N, M = arr.shape
     if not 1 <= K <= min(MAX_ORDER, M):
         raise ValidationError(f"order K={K} invalid for M={M}")
-    packed = np.packbits(arr.T, axis=1)  # padding bits are 0 in every column
-    rows_cap = max(1, min(_CHUNK_ROWS, _PACKED_CHUNK_BYTES // packed.shape[1]))
+    words = -(-N // 64)
+    packed = np.zeros((M, 8 * words), dtype=np.uint8)
+    packed[:, : -(-N // 8)] = np.packbits(arr.T, axis=1)
+    packed = packed.view(np.uint64)
+    rows_cap = max(1, min(_CHUNK_ROWS, _PACKED_CHUNK_BYTES // (8 * words)))
     values = np.empty(table_size(M, K))
     for d in range(1, K + 1):
         base = order_offset(M, d)
@@ -181,9 +190,27 @@ def empirical_correlator_table(samples, K: int) -> SubsetTable:
             bits = packed[rows[:, 0]]
             for j in range(1, d):
                 bits ^= packed[rows[:, j]]
-            odd = _BYTE_POPCOUNT[bits].sum(axis=1, dtype=np.int64)
+            odd = _popcount64(bits).sum(axis=1, dtype=np.int64)
             values[base + start : base + start + rows.shape[0]] = (N - 2 * odd) / N
     return SubsetTable(M=M, K=K, values=values, kind="correlator")
+
+
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word of x, computed in place in x and returned."""
+    t = np.empty_like(x)
+    np.right_shift(x, np.uint64(1), out=t)
+    t &= _M1
+    x -= t  # 2-bit counts
+    np.right_shift(x, np.uint64(2), out=t)
+    t &= _M2
+    x &= _M2
+    x += t  # 4-bit counts
+    np.right_shift(x, np.uint64(4), out=t)
+    x += t
+    x &= _M4  # byte counts
+    x *= _H01  # the top byte sums them
+    x >>= np.uint64(56)
+    return x
 
 
 def _mem_cap(explicit: int | None) -> int:

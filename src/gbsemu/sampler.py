@@ -69,13 +69,14 @@ class SamplerConfig:
             raise ValidationError(f"unknown method {self.method!r}")
         if self.N < 0 or self.workers < 1:
             raise ValidationError("N must be >= 0 and workers >= 1")
+        if self.K < 2:
+            raise ValidationError(
+                f"truncation order K={self.K} must be at least 2 for {self.method}")
         if self.method == "exact_reference":
             if self.aux_orders is not None or self.clamp_epsilon or self.workers > 1:
                 raise ValidationError(
                     "exact_reference takes no aux orders or clamp epsilon, and one worker")
         else:
-            if self.K < 2:
-                raise ValidationError("truncation order must be at least 2")
             aux = self.aux_orders
             if aux is None:
                 aux = tuple(min(a, self.K) for a in _DEFAULT_AUX[self.method])
@@ -930,14 +931,21 @@ def save_samples_text(path, batch: SampleBatch) -> None:
 
 
 def load_samples_text(path) -> SampleBatch:
-    # a byte that is not UTF-8 decodes to one lone surrogate character, which
-    # fails the header check or the 0/1 check of its sample line
-    text = Path(path).read_bytes().decode("utf-8", "surrogateescape").splitlines()
-    if (not text or not text[0].startswith(_TEXT_HEADER)
-            or any("\udc80" <= ch <= "\udcff" for ch in text[0])):
+    """Read a text samples file: a header line, then one line of M 0/1 characters per sample.
+
+    Lines end in "\\n" or "\\r\\n" and blank lines are skipped.  Only the header
+    is decoded; the body is parsed as one byte array (:func:`_text_rows`).
+    """
+    data = Path(path).read_bytes()
+    end = data.find(b"\n")
+    end = len(data) if end < 0 else end
+    # a byte that is not UTF-8 decodes to one lone surrogate character
+    header = data[:end].removesuffix(b"\r").decode("utf-8", "surrogateescape")
+    if (not header.startswith(_TEXT_HEADER)
+            or any("\udc80" <= ch <= "\udcff" for ch in header)):
         raise ValidationError(f"{path} is not a samples file")
     meta = {}
-    for kv in text[0][len(_TEXT_HEADER) :].split():
+    for kv in header[len(_TEXT_HEADER) :].split():
         key, sep, val = kv.partition("=")
         if not sep:
             raise ValidationError(f"{path}: header token {kv!r} is not key=value")
@@ -949,24 +957,60 @@ def load_samples_text(path) -> SampleBatch:
         raise ValidationError(f"{path}: header needs integer M=, N=, K=, seed=: {exc}") from exc
     if M < 1 or N < 0:
         raise ValidationError(f"{path}: header has M={M}, N={N}")
-    rows = [line for line in text[1:] if line]
-    if len(rows) != N:
-        raise ValidationError(f"{path}: expected {N} samples, found {len(rows)}")
-    # rows before the first one of the wrong length are parsed in one piece;
-    # latin-1 with replacement keeps one byte per character
-    wrong_length = np.fromiter(map(len, rows), dtype=np.int64, count=N) != M
-    n_ok = int(np.argmax(wrong_length)) if wrong_length.any() else N
-    chars = np.frombuffer(
-        "".join(rows[:n_ok]).encode("latin-1", "replace"), dtype=np.uint8
-    ).reshape(n_ok, M)
-    bits = chars - ord("0")  # uint8: every character but 0 and 1 maps above 1
-    bad = (bits > 1).any(axis=1)
-    if bad.any() or n_ok < N:
-        i = int(np.argmax(bad)) if bad.any() else n_ok
-        raise ValidationError(f"{path}: bad sample line {i + 1}")
+    body = np.frombuffer(data, dtype=np.uint8, offset=min(end + 1, len(data)))
     return SampleBatch(
-        M=M, N=N, bitstrings=bits, method=meta.get("method", "?"), K=K, seed=seed,
+        M=M, N=N, bitstrings=_text_rows(path, body, N, M), method=meta.get("method", "?"),
+        K=K, seed=seed,
     )
+
+
+def _text_rows(path, body: np.ndarray, N: int, M: int) -> np.ndarray:
+    """The (N, M) uint8 bits of a samples body, one sample per non-blank line.
+
+    A body in the writer's layout is reshaped as it is; any other is first
+    brought to that layout (:func:`_canonical_lines`).  A body that still
+    does not fit raises ValidationError with the count of its non-blank
+    lines or the number of the first of them that is not M bits.
+    """
+    bits = _fixed_width_rows(body, N, M)
+    if bits is None:
+        body = _canonical_lines(body)
+        bits = _fixed_width_rows(body, N, M)
+    if bits is not None:
+        return bits
+    ends = np.flatnonzero(body == ord("\n"))
+    if ends.size != N:
+        raise ValidationError(f"{path}: expected {N} samples, found {ends.size}")
+    bad = np.diff(ends, prepend=-1) != M + 1
+    # a byte other than 0, 1 and "\n" marks the line that holds it
+    stray = np.flatnonzero((body - ord("0") > 1) & (body != ord("\n")))
+    bad[np.searchsorted(ends, stray)] = True
+    raise ValidationError(f"{path}: bad sample line {int(np.argmax(bad)) + 1}")
+
+
+def _fixed_width_rows(body: np.ndarray, N: int, M: int) -> np.ndarray | None:
+    """The bits of a body of N lines of M 0/1 bytes and "\\n" each, else None."""
+    if body.size != N * (M + 1):
+        return None
+    rows = body.reshape(N, M + 1)
+    bits = rows[:, :M] - ord("0")  # uint8: every byte but 0 and 1 maps above 1
+    if N and ((rows[:, M] != ord("\n")).any() or bits.max() > 1):
+        return None
+    return bits
+
+
+def _canonical_lines(body: np.ndarray) -> np.ndarray:
+    """The body with "\\r\\n" made "\\n", blank lines dropped and a last "\\n" added."""
+    newline = body == ord("\n")
+    cr = np.zeros_like(newline)
+    cr[:-1] = newline[1:] & (body[:-1] == ord("\r"))
+    body, newline = body[~cr], newline[~cr]
+    blank = newline.copy()  # a "\n" first or right after another ends a blank line
+    blank[1:] &= newline[:-1]
+    body = body[~blank]
+    if body.size and body[-1] != ord("\n"):
+        body = np.append(body, np.uint8(ord("\n")))
+    return body
 
 
 def save_samples_packed(path, batch: SampleBatch) -> None:

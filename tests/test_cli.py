@@ -263,7 +263,7 @@ def test_sample_exact_reference_guard(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--aux-orders=9,9,9"], ["--clamp-epsilon", "0.3"], ["--workers", "3"],
-    ["--table", "never-read.gbsk"],
+    ["--table", "never-read.gbsk"], ["--order", "-3"],
 ])
 def test_sample_exact_reference_refuses_chain_flags(tmp_path, capsys, instance_file, flags):
     out = tmp_path / "s.txt"
@@ -420,6 +420,13 @@ _MALFORMED_SAMPLES = {
         lambda p: p.write_bytes(b"# gbs-samples v1 M=6 N=1 method=x K=0 seed=0\n00\xff001\n"),
     "non_utf8_header_byte":
         lambda p: p.write_bytes(b"# gbs-samples v1 M=6 N=1 method=\xff K=0 seed=0\n000000\n"),
+    # line ends other than "\n" and "\r\n"
+    "lone_carriage_return":
+        lambda p: p.write_bytes(b"# gbs-samples v1 M=6 N=2 method=x K=0 seed=0\n000000\r010000\n"),
+    "form_feed_separator":
+        lambda p: p.write_bytes(b"# gbs-samples v1 M=6 N=2 method=x K=0 seed=0\n000000\x0c010000\n"),
+    "carriage_return_last":
+        lambda p: p.write_bytes(b"# gbs-samples v1 M=6 N=1 method=x K=0 seed=0\n000000\r"),
 }
 
 

@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -149,14 +150,18 @@ def test_table_rejects_nonpositive_determinant():
 
 def _bit_arrays():
     rng = np.random.default_rng(12)
-    return {
+    arrays = {
         "random": (rng.random((1003, 7)) < rng.uniform(0.1, 0.7, size=7)).astype(np.uint8),
         "zeros": np.zeros((1003, 7), dtype=np.uint8),
         "ones": np.ones((1003, 7), dtype=np.uint8),
     }
+    # sample counts around whole 64-bit words, where the last word's padding matters
+    for N in (1, 63, 64, 65, 129):
+        arrays[f"n{N}"] = (rng.random((N, 7)) < 0.5).astype(np.uint8)
+    return arrays
 
 
-@pytest.mark.parametrize("name", ["random", "zeros", "ones"])
+@pytest.mark.parametrize("name", ["random", "zeros", "ones", "n1", "n63", "n64", "n65", "n129"])
 def test_empirical_table_matches_estimate_correlator(name):
     arr = _bit_arrays()[name]
     tab = cu.empirical_correlator_table(arr, K=4)
@@ -181,8 +186,8 @@ def test_empirical_table_independent_of_chunk_size(monkeypatch):
         monkeypatch.setattr(cu, "_PACKED_CHUNK_BYTES", limit)
         caps.clear()
         assert np.array_equal(cu.empirical_correlator_table(arr, K=4).values, ref.values)
-        # packed bits per chunk: rows times ceil(N / 8) bytes, one call per order
-        assert len(caps) == 4 and all(cap * 126 <= max(limit, 126) for cap in caps)
+        # packed bits per chunk: rows times ceil(N / 64) 8-byte words, one call per order
+        assert len(caps) == 4 and all(cap * 128 <= max(limit, 128) for cap in caps)
 
 
 def test_empirical_table_rejects_bad_input():
@@ -353,6 +358,17 @@ def test_table_io_roundtrip(tmp_path, tables6):
         assert back.kind == tab.kind
         assert back.M == tab.M and back.K == tab.K
         assert np.array_equal(back.values, tab.values)
+
+
+def test_unpickled_table_is_read_only(tmp_path, tables6):
+    _, ktab = tables6
+    cu.save_table(ktab, tmp_path / "t.gbsk")
+    back = pickle.loads(pickle.dumps(cu.load_table(tmp_path / "t.gbsk")))
+    assert (back.M, back.K, back.kind) == (ktab.M, ktab.K, ktab.kind)
+    assert np.array_equal(back.values, ktab.values)
+    assert not back.values.flags.writeable
+    with pytest.raises(ValueError):
+        back.values[0] = 1.0
 
 
 def test_table_io_checksum_detects_corruption(tmp_path, tables6):

@@ -414,6 +414,9 @@ def test_config_validation():
         sp.SamplerConfig(N=1, clamp_epsilon=0.7)
     with pytest.raises(ValidationError):
         sp.SamplerConfig(N=-1)
+    for method in sp.METHODS:
+        with pytest.raises(ValidationError, match=f"K=-3 must be at least 2 for {method}"):
+            sp.SamplerConfig(N=5, K=-3, method=method)
 
 
 def test_clamp_epsilon_keeps_conditionals_interior():
@@ -437,6 +440,22 @@ def test_samples_text_roundtrip(tmp_path, lossy7):
     assert back.M == 7 and back.N == 20
     assert np.array_equal(back.bitstrings, batch.bitstrings)
     assert back.method == "double_elision" and back.K == 5 and back.seed == 1
+
+
+@pytest.mark.parametrize("layout", [
+    lambda b: b.replace(b"\n", b"\r\n"),
+    lambda b: b"\n" + b.replace(b"\n", b"\n\n").replace(b"\n", b"\r\n", 3),
+    lambda b: b.removesuffix(b"\n"),
+], ids=["crlf", "blank_lines", "no_final_newline"])
+def test_samples_text_line_ends(tmp_path, lossy7, layout):
+    _, ktab = lossy7
+    batch = sp.batch_sample(sp.SamplerConfig(N=20, K=5, method="double_elision", seed=1),
+                            kappa=ktab)
+    path = tmp_path / "s.txt"
+    sp.save_samples_text(path, batch)
+    header, _, body = path.read_bytes().partition(b"\n")
+    path.write_bytes(header + b"\n" + layout(body))
+    assert np.array_equal(sp.load_samples(path).bitstrings, batch.bitstrings)
 
 
 def test_samples_packed_roundtrip(tmp_path, lossy7):
@@ -470,6 +489,9 @@ def test_samples_text_bytes(tmp_path):
     ("0x0\n01\n111\n", 1),
     ("010\n\n011\n11\n", 3),
     ("010\n011\n1\u00e91\n", 3),
+    # N * (M + 1) bytes, the writer's size: one bad character, one misplaced "\n"
+    ("010\n012\n111\n", 2),
+    ("010\n01\n1111\n", 2),
 ])
 def test_samples_text_bad_line_number(tmp_path, body, line):
     path = tmp_path / "bad.txt"

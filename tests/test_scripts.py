@@ -58,7 +58,7 @@ def test_failing_child_raises_with_stderr_tail(tmp_path):
 
 
 @pytest.mark.parametrize("script", ["bench_phase2", "bench_oracle", "bench_sampler",
-                                    "compare_outputs"])
+                                    "bench_report", "compare_outputs"])
 def test_script_help(script):
     proc = subprocess.run([sys.executable, f"scripts/{script}.py", "--help"], cwd=ROOT,
                           capture_output=True, text=True)
