@@ -14,8 +14,10 @@ samples/s, the median per-layer seconds, the peak RSS of each tree, the
 number of pairs in which the change was faster, and whether the two trees
 drew the same bitstrings.  ``column_share`` is the share of the N * M
 column-steps the change's sampler computed, which shares one table column
-between samples with a common prefix, and ``deferred`` the samples it
-restarted for want of a free column.
+between samples with a common prefix; ``deferred`` counts the samples it
+restarted in a later table run, for want of a free column or because they
+left the previous run's trie, and ``routed`` the samples whose bits it
+read from a finished run's trie.
 
 A second part (``widths``) runs this tree alone at fixed batch widths,
 WIDTH_RUNS runs per width, and records samples/s and peak RSS at each
@@ -87,7 +89,7 @@ wall = time.perf_counter() - t0
 emit(samples_per_s=N / wall, layer_s=split,
      sha256=hashlib.sha256(batch.bitstrings.tobytes()).hexdigest(),
      column_share=getattr(batch, "table_columns", N * kappa.M) / (N * kappa.M),
-     deferred=getattr(batch, "n_deferred", 0))
+     deferred=getattr(batch, "n_deferred", 0), routed=getattr(batch, "n_routed", 0))
 """
 
 
@@ -146,6 +148,7 @@ def main() -> int:
             }
         row["column_share"] = runs["change"][0]["column_share"]
         row["deferred"] = runs["change"][0]["deferred"]
+        row["routed"] = runs["change"][0]["routed"]
         row["speedup"] = (row["change"]["samples_per_s"]["median"]
                           / row["parent"]["samples_per_s"]["median"])
         row["wins"] = pairs.wins(runs, "samples_per_s", higher=True)

@@ -12,7 +12,7 @@ some parts of the sampler's row contractions, an M=64, K=3
 single-elision input, and an M=10, K=4 single-elision input, which runs
 on the scalar engine ``ScalarChain``.  Every sampling seed gets its own
 samples, the deterministic fields of each sample manifest (``MANIFEST``,
-written as JSON next to the samples) and its report (or, where the
+written as JSON next to the samples, null where a tree has no such field) and its report (or, where the
 report is refused, its exit code and error).  The script prints the
 SHA-256 of every output file in both trees and exits 1 if any file
 differs or exists in one tree only.
@@ -41,8 +41,8 @@ INPUTS = (
 )
 # the sample manifest fields that do not depend on timing or on the host
 MANIFEST = ("n_generated", "n_failed", "n_flagged", "n_clipped", "max_clip_excursion",
-            "engine", "table_columns", "n_deferred", "aux_values_per_sample",
-            "worker_errors")
+            "engine", "table_columns", "n_deferred", "n_routed",
+            "aux_values_per_sample", "worker_errors")
 
 _CHILD = """
 from gbsemu.cli import main
@@ -71,7 +71,7 @@ def run_tree(src: Path, work: Path, seeds: list[int]) -> dict[str, str]:
                           "--method", method, "--order", K, "--samples", N, "--seed", seed,
                           "--workers", workers, "--out", d / f"samples_s{seed}_w{workers}.txt")
                 (d / f"manifest_s{seed}_w{workers}.json").write_text(
-                    json.dumps({key: man[key] for key in MANIFEST}, indent=1, sort_keys=True))
+                    json.dumps({key: man.get(key) for key in MANIFEST}, indent=1, sort_keys=True))
             try:
                 cli(src, "benchmark", "--samples", d / f"samples_s{seed}_w1.txt",
                     "--instance", inst, "--orders", orders, "--seed", seed,

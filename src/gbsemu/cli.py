@@ -166,6 +166,7 @@ def cmd_sample(args) -> int:
                 "table_columns": batch.table_columns,
                 "sample_steps": config.N * inst.M,
                 "n_deferred": batch.n_deferred,
+                "n_routed": batch.n_routed,
                 "per_sample_s": batch.per_sample_mean,
                 "throughput_per_s": (batch.N / batch.wall_time) if batch.wall_time > 0 else 0.0,
                 "aux_values_per_sample": (

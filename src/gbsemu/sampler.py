@@ -108,10 +108,13 @@ class SampleBatch:
     worker_errors: list[str] = field(default_factory=list)
     # "batched" (MarginalTables), "scalar" (ScalarChain) or "exact"
     engine: str = ""
-    # column-steps the chain computed (N * M without prefix sharing), and
-    # samples deferred for want of a free column and restarted
+    # column-steps the chain computed (N * M without prefix sharing);
+    # samples restarted in a later table run, for want of a free column or
+    # because they left the previous run's trie; and samples whose bits came
+    # from a finished run's trie
     table_columns: int = 0
     n_deferred: int = 0
+    n_routed: int = 0
 
 
 def _stream_uniforms(seed: int, start: int, count: int, M: int) -> np.ndarray:
@@ -205,15 +208,16 @@ def _column_layout(M: int, K: int, method: str, aux) -> dict[str, tuple[tuple, n
     from its parent.  Some of these ranges also cover rows that are never
     written; those hold the same value in every column.
 
-    ``P[a, b]`` is the interval marginal over bits b..a-1 (``pp`` is
-    ``P[1:]``).  The double method adds the pair signs, the packed q2 rows
+    ``q0[n]`` is the conditional the column drew bit n with, and ``P[a, b]``
+    the interval marginal over bits b..a-1 (``pp`` is ``P[1:]``).  The
+    double method adds the pair signs, the packed q2 rows
     (row t starts at C(t+1, 3)) and ``R``, the blocks of ``_row_blocks``
     (block h is written at step h-1); ``q2`` and ``R`` end in one
     always-zero slot that gathers use for absent pairs.
     """
     n = np.arange(M)
-    layout = {"s": ((M,), n), "pref": ((M + 1,), n + 1), "P": ((M + 1, M + 1), n + 1),
-              "q1": ((M, M), n)}
+    layout = {"s": ((M,), n), "q0": ((M,), n), "pref": ((M + 1,), n + 1),
+              "P": ((M + 1, M + 1), n + 1), "q1": ((M, M), n)}
     if method != "double_elision":
         return layout
     C = binomials(M).T
@@ -236,6 +240,12 @@ class MarginalTables:
     to a new column, a copy of the rows written before step n.  A sample
     whose new prefix finds no free column (the width ``batch`` is full) is
     deferred: ``run`` marks it -1, and the caller restarts it later.
+
+    A finished run is a read-only prefix trie: each column keeps the
+    conditional it drew every bit with (``q0``), and ``branch[n, c]`` names
+    the column that forked from c at step n (-1 where none did).  ``route``
+    walks fresh samples down it, so only the samples that leave it need a
+    run of their own.
 
     Every array carries a trailing column axis allocated once at the full
     width; the updates run on views of the live columns, and every
@@ -299,6 +309,7 @@ class MarginalTables:
         for name, full in arrays.items():
             setattr(self, "_" + name, full)
         self._columns = tuple(arrays)
+        self.branch = np.full((M, self.W), -1, dtype=np.int64)
         diag = np.arange(M + 1)
         self._P[diag, diag] = 1.0  # empty intervals
         self._pref[0] = 1.0
@@ -502,6 +513,7 @@ class MarginalTables:
     def advance(self, n: int, bits_n: np.ndarray, q0: np.ndarray) -> None:
         """Record the realized bit as its sign s[n], update the prefix and all tables."""
         self.s[n] = 1.0 - 2.0 * bits_n
+        self.q0[n] = q0
         self.pref[n + 1] = np.where(bits_n == 0, q0, 1.0 - q0) * self.pref[n]
         if self.double:
             np2 = self.C[n, 2]
@@ -519,7 +531,8 @@ class MarginalTables:
         and ``max_clip_excursion`` holds the results of the samples mapped
         to c; ``s[n]`` is 1 - 2 * bit n.  A deferred sample maps to -1.
         ``table_columns`` counts the column-steps computed: the live
-        prefixes summed over the steps.
+        prefixes summed over the steps, of which ``live`` are left.
+        ``branch`` records each fork, for ``route``.
 
         Each conditional q0 comes from ``_conditional``.
         """
@@ -530,6 +543,7 @@ class MarginalTables:
         for name in _SAMPLE_STATE:
             getattr(self, "_" + name)[:] = 0
         self._set_width(2)
+        self.branch[:] = -1
         self.table_columns = 0
         live = 1
         for n in range(self.M):
@@ -547,6 +561,7 @@ class MarginalTables:
                 parents = forks[: self.W - live]
                 child = np.full(live, -1, dtype=np.int64)
                 child[parents] = np.arange(live, live + parents.size)
+                self.branch[n, parents] = child[parents]
                 col = np.where(one & drew[0][col], child[col], col)
                 if parents.size < forks.size:
                     stay = col >= 0
@@ -561,9 +576,35 @@ class MarginalTables:
             self._set_width(max(live, 2))
             self.table_columns += live
             self.advance(n, bits_n, q0)
+        self.live = live
         result = np.full(draws.shape[1], -1, dtype=np.int64)
         result[sample] = col
         return result
+
+    def route(self, uniforms: np.ndarray) -> np.ndarray:
+        """The column of the finished run that each fresh sample reaches, or -1.
+
+        Sample i in column c draws bit n as ``uniforms[n, i] >= q0[n, c]``,
+        as ``run`` draws it.  It stays in c where that is c's bit n, moves
+        to ``branch[n, c]`` otherwise, and leaves the trie (-1) where c did
+        not fork.  A column's values do not depend on the other columns, so
+        the column a sample reaches holds what a run of it would compute.
+        """
+        live = self.live
+        # the column a sample moves to on drawing 0 or 1; column -1, past the
+        # live ones, is a sink that off-trie samples never leave
+        q0 = np.zeros((self.M, live + 1))
+        q0[:, :live] = self.q0[:, :live]
+        to = np.full((2, self.M, live + 1), -1, dtype=np.int64)
+        one = self.s[:, :live] < 0
+        stay = np.broadcast_to(np.arange(live), one.shape)
+        branch = self.branch[:, :live]
+        to[0, :, :live] = np.where(one, branch, stay)
+        to[1, :, :live] = np.where(one, stay, branch)
+        col = np.zeros(uniforms.shape[1], dtype=np.int64)
+        for n in range(self.M):
+            col = np.where(uniforms[n] >= q0[n][col], to[1, n][col], to[0, n][col])
+        return col
 
 
 # ---------------------------------------------------------------------------
@@ -725,14 +766,14 @@ def chain_joint_probability(kappa: SubsetTable, bits, config: SamplerConfig) -> 
 def aux_values_per_sample(M: int, method: str, K: int = 5, aux_orders=None) -> int:
     """Float64 values MarginalTables holds per in-flight sample.
 
-    The sum of the shapes of ``_column_layout``.  Prefix, sign, interval
-    and single-elision tables are O(M^2); the double method adds the packed
-    q2 rows, choose(M+1, 3) + 1 values, and ``R``: block h holds M-h T rows
-    of order 3, M-h-1 of order 4 and choose(M-h-1, 2) of order 5, and h
-    values for each of its M-h order-2 and M-h-1 order-3 V rows; one zero
-    slot ends it.  At K = 5 with the default aux orders that makes 1,463
-    values at M = 12 and 10,407 at M = 24.  The kappa relayouts are shared
-    by the batch and not counted.
+    The sum of the shapes of ``_column_layout``.  Prefix, sign, conditional,
+    interval and single-elision tables are O(M^2); the double method adds
+    the packed q2 rows, choose(M+1, 3) + 1 values, and ``R``: block h holds
+    M-h T rows of order 3, M-h-1 of order 4 and choose(M-h-1, 2) of order 5,
+    and h values for each of its M-h order-2 and M-h-1 order-3 V rows; one
+    zero slot ends it.  At K = 5 with the default aux orders that makes 1,475
+    values at M = 12 and 10,431 at M = 24.  The kappa relayouts, shared by
+    the batch, and the int64 branch map are not counted.
     """
     K = min(K, M)
     aux = aux_orders or tuple(min(a, K) for a in _DEFAULT_AUX[method])
@@ -748,12 +789,13 @@ def aux_values_per_sample(M: int, method: str, K: int = 5, aux_orders=None) -> i
 _BATCH_VALUES = 1 << 22
 
 
-# samples per table run and column.  More samples share more prefixes while
-# the columns last; the deferred rest waits for the next run.  On a 2-core
-# host (one worker), 4, 8 and 16 gave 28, 40 and 50 k samples/s at M = 24,
-# K = 5; at M = 48 (K = 5), 64 and 128 (K = 3, single elision), 16 was
-# within noise of the best value tried from 4 to 32.  A run holds
-# M x 16 x width uniforms.
+# samples per table run and column, and the size of the uniforms buffer that
+# fresh samples are routed through between runs.  More samples share more
+# prefixes while the columns last; the deferred rest waits for the next run.
+# On a 2-core host (one worker), 4, 8 and 16 gave 28, 40 and 50 k samples/s
+# at M = 24, K = 5, before routing; at M = 48 (K = 5), 64 and 128 (K = 3,
+# single elision), 16 was within noise of the best value tried from 4 to 32.
+# The buffer holds M x 16 x width uniforms.
 _RUN_SAMPLES_PER_COLUMN = 16
 
 
@@ -769,15 +811,18 @@ def _auto_batch(M: int, config: SamplerConfig) -> int:
 
 
 # the SampleBatch counters a chunk returns, in order
-_COUNTS = ("n_flagged", "n_clipped", "table_columns", "n_deferred")
+_COUNTS = ("n_flagged", "n_clipped", "table_columns", "n_deferred", "n_routed")
 
 
 def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: int):
     """Generate samples start..stop-1; returns bits, abort flags, counts, excursion.
 
     The counts follow _COUNTS; the excursion is the largest clip excursion.
-    Each table run takes the samples the previous run deferred, then fresh
-    ones, up to _RUN_SAMPLES_PER_COLUMN per column.
+    After the first table run, fresh samples are routed through the last
+    run's trie (``MarginalTables.route``); the samples that leave it wait
+    at the front of the uniforms buffer with those the run deferred.  The
+    next run starts when they fill the buffer, _RUN_SAMPLES_PER_COLUMN per
+    column, or when no fresh sample is left.
     """
     M = kappa.M
     n = stop - start
@@ -787,31 +832,50 @@ def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: in
     aborted = np.zeros(n, dtype=bool)
     if _fast_supported(config):
         tables = MarginalTables(kappa, config, batch=min(_auto_batch(M, config), n))
-        # uniforms of a run: the samples the last run deferred, then fresh ones
+
+        def finish(samples, col):
+            """Record the samples whose prefixes ended in columns `col`."""
+            nonlocal counts, excursion
+            out[samples] = np.ascontiguousarray((tables.s < 0).T)[col]
+            aborted[samples] = tables.aborted[col]
+            counts += (tables.flagged[col].sum(), tables.n_clipped[col].sum(), 0, 0, 0)
+            excursion = max(excursion, float(tables.max_clip_excursion[col].max(initial=0.0)))
+
+        # uniforms of the samples waiting for a run, then fresh ones
         u = np.empty((M, min(_RUN_SAMPLES_PER_COLUMN * tables.W, n)))
         idx = np.empty(0, dtype=np.int64)  # offset of the sample in each column of u
         fresh = 0
+        trie = False  # whether the tables hold a finished run
         while fresh < n or idx.size:
             take = min(u.shape[1] - idx.size, n - fresh)
-            u[:, idx.size : idx.size + take] = _stream_uniforms(config.seed, start + fresh, take, M).T
-            idx = np.concatenate([idx, np.arange(fresh, fresh + take)])
+            new = slice(idx.size, idx.size + take)
+            u[:, new] = _stream_uniforms(config.seed, start + fresh, take, M).T
+            offsets = np.arange(fresh, fresh + take)
             fresh += take
+            if trie and take:
+                col = tables.route(u[:, new])
+                on = col >= 0
+                finish(offsets[on], col[on])
+                offsets = offsets[~on]
+                u[:, idx.size : idx.size + offsets.size] = u[:, new][:, ~on]
+                counts += (0, 0, 0, offsets.size, take - offsets.size)
+            idx = np.concatenate([idx, offsets])
+            if not idx.size or (fresh < n and idx.size < u.shape[1]):
+                continue
             col = tables.run(u[:, : idx.size])
+            trie = True
             done = col >= 0
             u[:, : idx.size - done.sum()] = u[:, : idx.size][:, ~done]
-            finished, col, idx = idx[done], col[done], idx[~done]
-            out[finished] = (tables.s[:, col] < 0).T
-            aborted[finished] = tables.aborted[col]
-            counts += (tables.flagged[col].sum(), tables.n_clipped[col].sum(),
-                       tables.table_columns, idx.size)
-            excursion = max(excursion, float(tables.max_clip_excursion[col].max()))
+            finish(idx[done], col[done])
+            idx = idx[~done]
+            counts += (0, 0, tables.table_columns, idx.size, 0)
     else:
         for t in range(n):
             chain = ScalarChain(kappa, config)
             chain.run(uniforms=_stream_uniforms(config.seed, start + t, 1, M)[0])
             out[t] = chain.sign < 0
             aborted[t] = chain.aborted[0]
-            counts += (chain.flagged[0], chain.n_clipped[0], M, 0)
+            counts += (chain.flagged[0], chain.n_clipped[0], M, 0, 0)
             excursion = max(excursion, float(chain.max_clip_excursion[0]))
     return out, aborted, counts, excursion
 
@@ -1032,6 +1096,8 @@ def load_samples_packed(path) -> SampleBatch:
     version, M, N = struct.unpack("<IIQ", data[4:20])
     if version != 1:
         raise ValidationError(f"unsupported packed samples version {version}")
+    if M < 1:
+        raise ValidationError(f"{path}: header has M={M}, N={N}")
     width = -(-M // 8)
     if len(data) - 20 != N * width:
         raise ValidationError(

@@ -213,6 +213,7 @@ def test_sample_roundtrip(tmp_path, capsys, instance_file, table_file):
     # one table column per distinct prefix: fewer column-steps than N * M
     assert man["engine"] == "batched" and man["sample_steps"] == 500 * 6
     assert 0 < man["table_columns"] < man["sample_steps"] and man["n_deferred"] == 0
+    assert man["n_routed"] == 0  # all 500 samples fit one table run
     batch = load_samples(out)
     assert batch.N == 500 and batch.M == 6
 
@@ -412,6 +413,7 @@ def _packed_samples(path, n_rows=3, M=6, truncate=0):
 _MALFORMED_SAMPLES = {
     "truncated_packed": lambda p: _packed_samples(p, truncate=1),
     "short_packed_header": lambda p: p.write_bytes(b"GBSS" + b"\x01\x00\x00\x00"),
+    "packed_zero_modes": lambda p: _packed_samples(p, M=0),
     "header_token_without_equals":
         lambda p: p.write_text("# gbs-samples v1 M=6 N=1 oops\n000000\n"),
     "header_without_modes":

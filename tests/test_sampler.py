@@ -500,6 +500,15 @@ def test_samples_text_bad_line_number(tmp_path, body, line):
         sp.load_samples(path)
 
 
+def test_packed_header_without_modes(tmp_path):
+    import struct
+
+    path = tmp_path / "zero.gbss"
+    path.write_bytes(sp._PACKED_MAGIC + struct.pack("<IIQ", 1, 0, 3))
+    with pytest.raises(ValidationError, match="M=0"):
+        sp.load_samples(path)
+
+
 def test_packed_bytes_lsb_first(tmp_path):
     batch = sp.SampleBatch(M=8, N=1, bitstrings=np.array([[1, 0, 0, 0, 0, 0, 1, 0]], dtype=np.uint8),
                            method="x", K=0, seed=0)
@@ -623,6 +632,75 @@ def test_deferred_samples_match_wide_run(method, K, monkeypatch):
         assert np.array_equal(narrow.bitstrings, wide.bitstrings)
         for name in ("n_flagged", "n_clipped", "max_clip_excursion", "n_failed"):
             assert getattr(narrow, name) == getattr(wide, name), name
+
+
+def _clipping_kappa(M=7):
+    """Random cumulants of orders 1..5, which clip many conditionals."""
+    from math import comb
+
+    values = np.random.default_rng(0).uniform(-0.3, 0.3, sum(comb(M, d) for d in range(1, 6)))
+    return cu.SubsetTable(M=M, K=5, values=values, kind="cumulant")
+
+
+@pytest.mark.parametrize("method,K", [("double_elision", 5), ("single_elision", 3)])
+def test_routed_batches_match_wide_run(method, K, monkeypatch):
+    # at widths 4 and 16 a run takes 64 and 256 of the 2000 samples; the
+    # rest are routed through the last run's trie or restarted
+    kappa = _clipping_kappa()
+    cfg = sp.SamplerConfig(N=2000, K=K, method=method, seed=2)
+    wide = sp.batch_sample(cfg, kappa=kappa)
+    assert wide.n_routed == 0 and wide.n_deferred == 0 and wide.n_clipped > 0
+    for width in (4, 16):
+        monkeypatch.setattr(sp, "_auto_batch", lambda M, config: width)
+        narrow = sp.batch_sample(cfg, kappa=kappa)
+        assert narrow.n_routed > 0 and narrow.n_deferred > 0
+        assert np.array_equal(narrow.bitstrings, wide.bitstrings)
+        for name in ("n_flagged", "n_clipped", "max_clip_excursion", "n_failed"):
+            assert getattr(narrow, name) == getattr(wide, name), name
+
+
+@pytest.mark.parametrize("method,K", [("double_elision", 5), ("single_elision", 3)])
+def test_route_follows_finished_run(method, K):
+    M = 7
+    kappa = _clipping_kappa(M)
+    cfg = sp.SamplerConfig(N=0, K=K, method=method)
+    tables = sp.MarginalTables(kappa, cfg, batch=8)
+    u = np.ascontiguousarray(sp._stream_uniforms(3, 0, 128, M).T)
+    col = tables.run(u)
+    assert (col < 0).any() and (col >= 0).any()
+    # the run's own samples reach their columns, and the deferred ones leave
+    assert np.array_equal(tables.route(u), col)
+    # each column holds the conditional of every step of its prefix
+    ends = np.unique(col[col >= 0])
+    for c in ends:
+        alone = sp.MarginalTables(kappa, cfg, batch=1)
+        alone.run(None, forced=(tables.s[:, c : c + 1] < 0).astype(np.uint8))
+        assert np.array_equal(tables.q0[:, c], alone.q0[:, 0])
+    # a fresh sample reaches the column of its outcome, or -1 where the run
+    # made no branch toward it
+    fresh = np.ascontiguousarray(sp._stream_uniforms(3, 128, 256, M).T)
+    routed = tables.route(fresh)
+    wide = sp.MarginalTables(kappa, cfg, batch=256)
+    wide_col = wide.run(fresh)
+    bits = (wide.s[:, wide_col] < 0).T
+    outcomes = {tuple(b) for b in (tables.s[:, ends] < 0).T}
+    on = routed >= 0
+    assert on.any() and not on.all()
+    assert on.tolist() == [tuple(b) in outcomes for b in bits]
+    assert np.array_equal((tables.s[:, routed[on]] < 0).T, bits[on])
+
+
+def test_routed_chunk_with_no_sample_on_trie(lossy7, monkeypatch):
+    _, ktab = lossy7
+    cfg = sp.SamplerConfig(N=300, K=5, method="double_elision", seed=4)
+    wide = sp.batch_sample(cfg, kappa=ktab)
+    monkeypatch.setattr(sp, "_auto_batch", lambda M, config: 4)
+    monkeypatch.setattr(sp.MarginalTables, "route", lambda self, u: np.full(u.shape[1], -1))
+    narrow = sp.batch_sample(cfg, kappa=ktab)
+    assert narrow.n_routed == 0 and narrow.n_deferred >= cfg.N - 64
+    assert np.array_equal(narrow.bitstrings, wide.bitstrings)
+    for name in ("n_flagged", "n_clipped", "max_clip_excursion", "n_failed"):
+        assert getattr(narrow, name) == getattr(wide, name), name
 
 
 def test_clip_counters():
