@@ -15,18 +15,26 @@ samples, the deterministic fields of each sample manifest (``MANIFEST``,
 written as JSON next to the samples, null where a tree has no such field) and its report (or, where the
 report is refused, its exit code and error).  The script prints the
 SHA-256 of every output file in both trees and exits 1 if any file
-differs or exists in one tree only.
+differs or exists in one tree only.  Beside each differing table
+(``.gbsk``, ``.gbsc``), report CSV or JSON file it prints the largest
+absolute difference between the two files' numbers.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import pairs
+
+sys.path.insert(0, str(pairs.ROOT / "src"))
+from gbsemu.cumulants import load_table  # noqa: E402
 
 WORK = pairs.ROOT / ".bench_build" / "compare"
 ETA, RMAX, INSTANCE_SEED = 0.5, 1.0, 1
@@ -87,6 +95,45 @@ def run_tree(src: Path, work: Path, seeds: list[int]) -> dict[str, str]:
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
+def value_diff(a: Path, b: Path) -> float | None:
+    """Largest absolute difference between the numbers of two tables, CSV or
+    JSON files; None for other files, or where anything but a number differs."""
+    if a.suffix in (".gbsk", ".gbsc"):
+        x, y = load_table(a).values, load_table(b).values
+        return float(np.abs(x - y).max()) if x.shape == y.shape and x.size else None
+    if a.suffix == ".csv":
+        with open(a, newline="") as fa, open(b, newline="") as fb:
+            return _numbers_diff(list(csv.reader(fa)), list(csv.reader(fb)))
+    if a.suffix == ".json":
+        return _numbers_diff(json.loads(a.read_text()), json.loads(b.read_text()))
+    return None
+
+
+def _numbers_diff(x, y) -> float | None:
+    """max |x - y| over the numbers (or numeric strings) of two nests of dicts
+    and lists of the same shape; None where anything else differs."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        if x.keys() != y.keys():
+            return None
+        x, y = [x[k] for k in sorted(x)], [y[k] for k in sorted(x)]
+    if isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            return None
+        diffs = [_numbers_diff(u, v) for u, v in zip(x, y)]
+        return None if None in diffs else max(diffs, default=0.0)
+    if x == y:
+        return 0.0
+    try:
+        u, v = float(x), float(y)
+    except (TypeError, ValueError):
+        return None
+    if isinstance(x, bool) or isinstance(y, bool):
+        return None
+    if u != u or v != v:  # NaN
+        return 0.0 if u != u and v != v else None
+    return abs(u - v)
+
+
 def main() -> int:
     ap = pairs.parser(__doc__, out=False)
     ap.add_argument("--seeds", default="1,2,3", help="comma-separated sampling seeds")
@@ -98,7 +145,11 @@ def main() -> int:
     for rel in sorted(parent.keys() | change.keys()):
         a, b = parent.get(rel, "-"), change.get(rel, "-")
         differ += a != b
-        print(f"{'same' if a == b else 'DIFFERS'}  {a}  {b}  {rel}")
+        diff = None
+        if a != b and "-" not in (a, b):
+            diff = value_diff(WORK / "parent" / rel, WORK / "change" / rel)
+        note = "" if diff is None else f"  max |diff| {diff:.3g}"
+        print(f"{'same' if a == b else 'DIFFERS'}  {a}  {b}  {rel}{note}")
     print(f"{len(parent.keys() | change.keys())} files, {differ} differ")
     return 1 if differ else 0
 

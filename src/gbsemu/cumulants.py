@@ -15,13 +15,15 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ResourceGuardError, ValidationError
-from .gaussian import GaussianInstance, _no_click_probabilities, reduce_modes, vacuum_overlap
+from .errors import NumericalError, ResourceGuardError, ValidationError
+from .gaussian import GaussianInstance, reduce_modes, vacuum_overlap
 from .subsets import (
+    binomials,
     colex_chunks,
     order_offset,
     partition_patterns,
@@ -33,7 +35,7 @@ from .subsets import (
 MAX_ORDER = 6
 DEFAULT_MEM_CAP_BYTES = 8 << 30
 MOMENT_MAX_ORDER = 12
-# Subsets per batched determinant / gather step; bounds the kernel's scratch memory.
+# Subsets (or parents) per batched step; bounds the kernels' scratch memory.
 _CHUNK_ROWS = 4096
 # Bytes of packed parity bits per chunk of the empirical kernel, whatever N is.
 _PACKED_CHUNK_BYTES = 1 << 20
@@ -121,32 +123,35 @@ def correlator_table(
 ) -> SubsetTable:
     """Correlators of every subset of order 1..K.
 
-    The no-click probability P0 of every subset is computed once, one
-    determinant each, into the table itself, order by order.  Each order
-    is then turned into correlators in place, from K down to 1: a
-    correlator of order d gathers the P0 values of its sub-subsets, which
-    are of lower order (not yet converted) or its own slot.  Each chunk of
-    order-d subsets ranks its 2^d - 1 sub-subsets once
-    (:func:`gbsemu.subsets.sub_subset_ranks`).  Every entry repeats the
-    arithmetic of :func:`correlator`, so the table is bit-identical to
-    per-subset calls.  Refuses when the table would exceed the memory cap
-    (GBS_MEM_CAP_BYTES or 8 GiB).
+    The no-click probability P0 of every subset is computed once, into the
+    table itself, by :func:`_no_click_lattice`: each subset extends its
+    parent's inverse by one mode through a 2x2 Schur complement, so no
+    subset needs its own determinant.  Each order is then turned into
+    correlators in place, from K down to 1: a correlator of order d
+    gathers the P0 values of its sub-subsets, which are of lower order
+    (not yet converted) or its own slot.  Each chunk of order-d subsets
+    ranks its 2^d - 1 sub-subsets once
+    (:func:`gbsemu.subsets.sub_subset_ranks`) and sums its terms in the
+    order of :func:`correlator`.  The table agrees with per-subset calls to
+    1e-13 and does not depend on the chunk size.  Refuses when the table
+    plus the stored inverses of orders 1..K-2 would exceed the memory cap
+    (GBS_MEM_CAP_BYTES or 8 GiB); raises NumericalError naming the modes
+    of a subset whose shifted covariance is not positive definite.
     """
     M = inst.M
     if not 1 <= K <= min(MAX_ORDER, M):
         raise ValidationError(f"order K={K} invalid for M={M}")
     count = table_size(M, K)
+    # beside the table, the lattice keeps the (2d x 2d) inverses of orders d = 1..K-2
+    need = 8 * (count + sum(comb(M, d) * (2 * d) ** 2 for d in range(1, K - 1)))
     cap = _mem_cap(mem_cap_bytes)
-    if 8 * count > cap:
+    if need > cap:
         raise ResourceGuardError(
-            f"correlator table needs {8 * count} bytes, cap is {cap}; "
+            f"correlator table and subset inverses need {need} bytes, cap is {cap}; "
             "raise GBS_MEM_CAP_BYTES to proceed"
         )
     values = np.empty(count)
-    for d in range(1, K + 1):
-        base = order_offset(M, d)
-        for start, rows in colex_chunks(M, d, _CHUNK_ROWS):
-            values[base + start : base + start + rows.shape[0]] = _no_click_probabilities(inst, rows)
+    _no_click_lattice(inst, K, values)
     for d in range(K, 0, -1):
         base = order_offset(M, d)
         groups = [[_column(R) for R in combinations(range(d), r)] for r in range(1, d + 1)]
@@ -159,6 +164,139 @@ def correlator_table(
                 total += (-2.0) ** r * values[np.ascontiguousarray(sub[:, cols])].sum(axis=1)
             values[base + start : base + start + rows.shape[0]] = (-1.0) ** d * total
     return SubsetTable(M=M, K=K, values=values, kind="correlator")
+
+
+def _no_click_lattice(inst: GaussianInstance, K: int, values: np.ndarray) -> None:
+    """Write P0 of every subset of order 1..K into `values`, in the dense layout.
+
+    A = (sigma + hbar/2)/hbar is read in mode-major order: G[s, k] is the
+    2x2 block of modes s and k.  A subset S with largest mode k extends
+    its parent S' = S - {k}.  With B = A[S', k], X = A_S'^-1 B and the
+    Schur complement Sc = G[k, k] - B^T X, det A_S = det A_S' * det Sc,
+    and for a displaced state mu_S^T A_S^-1 mu_S grows by r^T Sc^-1 r,
+    with r = mu_k - X^T mu_S'.  So W(S) = P0(S)^-2 = det A_S *
+    exp(mu_S^T A_S^-1 mu_S / hbar) is a product of one factor per step;
+    the empty parent has W = 1.  `values` holds W until every order is
+    done and then P0 = W^-1/2, one square root per subset.  In colex order
+    the order-d subsets with largest mode k fill the block at rank
+    C(k, d), and their parents are the order-(d-1) ranks [0, C(k, d-1))
+    in the same order, so every step reads and writes contiguous slices.
+
+    A_S^-1 follows from A_S'^-1 and Sc^-1 by the block inverse, and is
+    kept for orders up to K - 2 only.  Each order-(K-2) subset then takes
+    two modes j < k at once: the 4x4 complement of {j, k} is taken as Sc_j
+    and the complement of k given j, S2 = Sc_k - C Sc_j^-1 C^T with
+    C = G[k, j] - B_k^T X_j, so W(S + j + k) = W(S + j) * det S2, and
+    t = r_k - C Sc_j^-1 r_j takes the place of r.  One-mode steps take
+    their parents in chunks of _CHUNK_ROWS.  Two-mode steps take
+    4 * _CHUNK_ROWS // M parents at a time, so that a chunk's pairs and
+    its kept (B_j, Sc_j, r_j), one set per mode j, stay near 4 *
+    _CHUNK_ROWS rows; within a chunk j runs downwards, each j in one batch
+    with all its k > j.  No value depends on the chunk sizes.
+    """
+    M, hbar = inst.M, inst.hbar
+    A = (inst.sigma + (hbar / 2.0) * np.eye(2 * M)) / hbar
+    G = np.ascontiguousarray(A.reshape(2, M, 2, M).transpose(1, 3, 0, 2))
+    mu = np.ascontiguousarray(inst.mu.reshape(2, M).T) if inst.is_displaced else None
+    binom = binomials(M)
+
+    def extend(inv, w, rows, k):
+        """Add mode k to every parent row: (B, X, Sc, Sc^-1, r, W)."""
+        n, m = rows.shape[0], 2 * rows.shape[1]
+        B = G[rows, k].reshape(n, m, 2)
+        X = inv @ B
+        Sc = G[k, k] - B.transpose(0, 2, 1) @ X
+        det, Si = _inverse_2x2(Sc, lambda t: (*rows[t], k))
+        out = w * det
+        r = None
+        if mu is not None:
+            r = mu[k] - (X.transpose(0, 2, 1) @ mu[rows].reshape(n, m, 1))[:, :, 0]
+            out *= np.exp(_quadratic_2(r, Si) / hbar)
+        return B, X, Sc, Si, r, out
+
+    def chunks(d, inv, rows_cap):
+        """(start, inverses, W, rows, smallest mode to add) per chunk of order-d parents."""
+        w = values[order_offset(M, d) :] if d else np.ones(1)
+        for start, rows in colex_chunks(M, d, rows_cap):
+            stop = start + rows.shape[0]
+            lo = int(rows[0, -1]) + 1 if d else 0
+            yield start, inv[start:stop], w[start:stop], rows, lo
+
+    # order 0: the empty subset and its empty inverse
+    inv = np.empty((1, 0, 0))
+    for d in range(1, K - 1):
+        new = np.empty((comb(M, d), 2 * d, 2 * d))
+        base = order_offset(M, d)
+        m = 2 * d - 2
+        for start, inv_c, w_c, rows, lo in chunks(d - 1, inv, _CHUNK_ROWS):
+            for k in range(lo, M):
+                n = int(np.searchsorted(rows[:, -1], k)) if d > 1 else 1
+                _, X, _, Si, _, out = extend(inv_c[:n], w_c[:n], rows[:n], k)
+                dst = binom[d][k] + start
+                values[base + dst : base + dst + n] = out
+                XSi = X @ Si
+                blk = new[dst : dst + n]
+                blk[:, :m, :m] = inv_c[:n] + XSi @ X.transpose(0, 2, 1)
+                blk[:, :m, m:] = -XSi
+                blk[:, m:, :m] = -(Si @ X.transpose(0, 2, 1))
+                blk[:, m:, m:] = Si
+        inv = new
+
+    L = max(K - 2, 0)
+    base1, base2 = order_offset(M, L + 1), order_offset(M, L + 2)
+    for start, inv_c, w_c, rows, lo in chunks(L, inv, max(1, 4 * _CHUNK_ROWS // M)):
+        # B, Sc and r of each mode k added to this chunk's parents
+        nc = rows.shape[0]
+        kB, kSc, kr = np.empty((M, nc, 2 * L, 2)), np.empty((M, nc, 2, 2)), np.empty((M, nc, 2))
+        for j in range(M - 1, lo - 1, -1):
+            n = int(np.searchsorted(rows[:, -1], j)) if L else 1
+            kB[j, :n], Xj, kSc[j, :n], Sij, rj, out = extend(inv_c[:n], w_c[:n], rows[:n], j)
+            dst = base1 + binom[L + 1][j] + start
+            values[dst : dst + n] = out
+            if K == 1:
+                continue
+            # every pair (j, k > j) at once: the leading axis runs over k
+            C = G[j + 1 :, j, None] - kB[j + 1 :, :n].swapaxes(2, 3) @ Xj
+            S2 = kSc[j + 1 :, :n] - (C @ Sij) @ C.swapaxes(2, 3)
+            det, S2i = _inverse_2x2(S2, lambda i, t: (*rows[t], j, j + 1 + i))
+            wk = out * det
+            if mu is not None:
+                kr[j, :n] = rj
+                t = kr[j + 1 :, :n] - (C @ (Sij @ rj[:, :, None]))[..., 0]
+                wk *= np.exp(_quadratic_2(t, S2i) / hbar)
+            dst = base2 + binom[L + 2][j + 1 : M] + binom[L + 1][j] + start
+            values[dst[:, None] + np.arange(n)] = wk
+    np.sqrt(values, out=values)
+    np.divide(1.0, values, out=values)
+
+
+def _inverse_2x2(S: np.ndarray, modes) -> tuple[np.ndarray, np.ndarray]:
+    """det and inverse of each 2x2 Schur complement in a stack.
+
+    Raises unless every det is finite and positive, naming modes(*i), the
+    subset whose complement sits at index i of the leading axes.
+    """
+    a, b, c, e = S[..., 0, 0], S[..., 0, 1], S[..., 1, 0], S[..., 1, 1]
+    det = a * e - b * c
+    bad = ~(np.isfinite(det) & (det > 0.0))
+    if bad.any():
+        i = np.unravel_index(int(np.argmax(bad)), det.shape)
+        raise NumericalError(
+            f"shifted covariance of modes {tuple(int(m) for m in modes(*i))} has Schur "
+            f"determinant {det[i]!r} for its last mode: input state is invalid"
+        )
+    inv = np.empty_like(S)
+    inv[..., 0, 0] = e / det
+    inv[..., 0, 1] = -b / det
+    inv[..., 1, 0] = -c / det
+    inv[..., 1, 1] = a / det
+    return det, inv
+
+
+def _quadratic_2(r: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """r^T S r for each 2-vector r and 2x2 matrix S."""
+    r0, r1 = r[..., 0], r[..., 1]
+    return r0 * (S[..., 0, 0] * r0 + S[..., 0, 1] * r1) + r1 * (S[..., 1, 0] * r0 + S[..., 1, 1] * r1)
 
 
 def empirical_correlator_table(samples, K: int) -> SubsetTable:

@@ -383,8 +383,8 @@ def _click_table(inst: GaussianInstance, quiet: np.ndarray, free: np.ndarray) ->
         step = max(1, _CHUNK_ENTRIES // max(1, 4 * n * n))
         for start in range(0, picks.shape[0], step):
             chunk = picks[start : start + step]
-            # C-ordered rows, as in correlator_table: for a displaced state the
-            # einsum of _no_click_probabilities adds in an order set by the layout
+            # C-ordered rows: for a displaced state the einsum of
+            # _no_click_probabilities adds in an order set by the layout
             rows = np.concatenate([np.tile(quiet, (chunk.shape[0], 1)), free[chunk]], axis=1)
             g[weight[chunk].sum(axis=1)] = _no_click_probabilities(inst, np.sort(rows, axis=1))
     for b in range(F - 1, -1, -1):

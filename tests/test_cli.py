@@ -188,6 +188,21 @@ def test_precompute_memory_guard(tmp_path, capsys, instance_file, monkeypatch):
     assert "cap" in err
 
 
+def test_precompute_nonpositive_pair_block_exit_4(tmp_path, capsys, monkeypatch):
+    # every single-mode block is valid, the shifted block of modes {0, 1} is not;
+    # the uncertainty check is switched off so that the instance reaches Phase II
+    monkeypatch.setattr(g, "UNCERTAINTY_TOL", np.inf)
+    sigma = np.eye(6)
+    sigma[0, 1] = sigma[1, 0] = 3.0
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"hbar": 2.0, "M": 3, "sigma": sigma.tolist()}))
+    code, _, err = run_cli(capsys, "precompute", "--instance", str(path),
+                           "--order", "2", "--out", str(tmp_path / "t.gbsk"))
+    assert code == 4
+    assert "modes (0, 1)" in err
+    assert not (tmp_path / "t.gbsk").exists()
+
+
 @pytest.fixture()
 def table_file(tmp_path, capsys, instance_file):
     table = tmp_path / "table.gbsk"

@@ -1,5 +1,6 @@
 import pickle
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_table_matches_per_subset_calls(inst6, tables6):
     ctab, _ = tables6
     for d in range(1, 6):
         for S in combinations(range(6), d):
-            assert ctab.value(S) == cu.correlator(inst6, S)
+            assert abs(ctab.value(S) - cu.correlator(inst6, S)) <= 1e-13
 
 
 def test_table_worker_determinism(inst6):
@@ -80,9 +81,10 @@ def test_memory_guard(inst6):
         cu.correlator_table(inst6, K=4, mem_cap_bytes=16)
 
 
-def test_memory_guard_counts_one_table(inst6):
-    # P0 values are written into the correlator table itself: one array of 8 bytes per subset
-    need = 8 * table_size(6, 4)
+def test_memory_guard_counts_table_and_inverses(inst6):
+    # P0 values are written into the correlator table itself; beside it the
+    # lattice keeps the (2d x 2d) inverses of every subset of order d <= K - 2
+    need = 8 * (table_size(6, 4) + 6 * 2**2 + comb(6, 2) * 4**2)
     with pytest.raises(ResourceGuardError):
         cu.correlator_table(inst6, K=4, mem_cap_bytes=need - 1)
     assert cu.correlator_table(inst6, K=4, mem_cap_bytes=need).K == 4
@@ -93,7 +95,7 @@ def test_table_matches_per_subset_calls_m9_k4():
     ctab = cu.correlator_table(inst, K=4)
     for d in range(1, 5):
         for S in combinations(range(9), d):
-            assert ctab.values[subset_rank(S, 9, 4)] == cu.correlator(inst, S)
+            assert abs(ctab.values[subset_rank(S, 9, 4)] - cu.correlator(inst, S)) <= 1e-13
 
 
 def test_table_independent_of_chunk_size(monkeypatch):
@@ -112,8 +114,10 @@ def test_table_independent_of_chunk_size(monkeypatch):
     small = cu.correlator_table(inst, K=4)
     assert np.array_equal(small.values, ref.values)
     assert np.array_equal(cu.cumulants_from_correlators(small).values, kref.values)
-    # Phase II (8 calls) and the transform (3 calls) both ran at the patched size
-    assert caps == [7] * 11
+    # the lattice's single steps (parents of orders 0 and 1) run 7-row chunks
+    # and its two-mode steps 4 * 7 // 9 = 3 parents per chunk; the conversion
+    # to correlators (4 calls) and the transform (3 calls) ran at the patched size
+    assert caps == [7, 7, 3] + [7] * 7
 
 
 def test_table_matches_per_subset_calls_k5_small_chunks(monkeypatch):
@@ -123,7 +127,7 @@ def test_table_matches_per_subset_calls_k5_small_chunks(monkeypatch):
     ctab = cu.correlator_table(inst, K=5)
     for d in range(1, 6):
         for S in combinations(range(9), d):
-            assert ctab.values[subset_rank(S, 9, 5)] == cu.correlator(inst, S)
+            assert abs(ctab.values[subset_rank(S, 9, 5)] - cu.correlator(inst, S)) <= 1e-13
 
 
 def test_displaced_table_matches_per_subset_calls():
@@ -134,6 +138,39 @@ def test_displaced_table_matches_per_subset_calls():
     for d in range(1, 5):
         for S in combinations(range(6), d):
             assert abs(ctab.value(S) - cu.correlator(inst, S)) < 1e-12
+
+
+def _unphysical_pair_instance():
+    """Every single-mode block is valid; the shifted block of modes {0, 1} is not positive."""
+    inst = g.vacuum_instance(3)
+    sigma = np.eye(6)
+    sigma[0, 1] = sigma[1, 0] = 3.0  # x0-x1 block of (sigma + hbar/2)/hbar: [[1, 1.5], [1.5, 1]]
+    object.__setattr__(inst, "sigma", sigma)
+    return inst
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_table_rejects_nonpositive_pair_block(K):
+    # order 2 comes from a two-mode step at K = 2 and from a one-mode step at K = 3
+    inst = _unphysical_pair_instance()
+    assert all(g.vacuum_overlap(inst.sigma[np.ix_([k, k + 3], [k, k + 3])]) > 0 for k in range(3))
+    with pytest.raises(NumericalError, match=r"modes \(0, 1\)"):
+        cu.correlator_table(inst, K=K)
+
+
+@pytest.mark.parametrize("displaced", [False, True])
+def test_lattice_matches_determinants(displaced):
+    inst, _ = g.random_instance(M=9, k=4, eta=0.6, r_max=1.0, seed=21)
+    if displaced:
+        mu = np.random.default_rng(4).normal(0.0, 0.7, 18)
+        inst = g.GaussianInstance(sigma=inst.sigma, mu=mu, hbar=inst.hbar)
+    got = np.empty(table_size(9, 4))
+    cu._no_click_lattice(inst, 4, got)
+    for d in range(1, 5):
+        rows = np.array(list(combinations(range(9), d)))
+        want = g._no_click_probabilities(inst, rows)
+        ranks = [subset_rank(tuple(r), 9, 4) for r in rows]
+        assert np.all(np.abs(got[ranks] - want) <= 1e-13 * want)
 
 
 def test_table_rejects_nonpositive_determinant():
