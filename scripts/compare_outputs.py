@@ -17,7 +17,9 @@ report is refused, its exit code and error).  The script prints the
 SHA-256 of every output file in both trees and exits 1 if any file
 differs or exists in one tree only.  Beside each differing table
 (``.gbsk``, ``.gbsc``), report CSV or JSON file it prints the largest
-absolute difference between the two files' numbers.
+absolute difference between the two files' numbers, and for a JSON file
+the key paths of the numbers that differ, e.g.
+``max |diff| 7.08e-11 (max_clip_excursion)``.
 """
 
 from __future__ import annotations
@@ -95,31 +97,47 @@ def run_tree(src: Path, work: Path, seeds: list[int]) -> dict[str, str]:
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
-def value_diff(a: Path, b: Path) -> float | None:
+def value_diff(a: Path, b: Path) -> tuple[float, list[str]] | None:
     """Largest absolute difference between the numbers of two tables, CSV or
-    JSON files; None for other files, or where anything but a number differs."""
+    JSON files, with the sorted dotted key paths (``slope.3``) of the JSON
+    numbers that differ; None for other files, or where anything but a
+    number differs."""
     if a.suffix in (".gbsk", ".gbsc"):
         x, y = load_table(a).values, load_table(b).values
-        return float(np.abs(x - y).max()) if x.shape == y.shape and x.size else None
+        return (float(np.abs(x - y).max()), []) if x.shape == y.shape and x.size else None
+    keys: set[str] = set()
     if a.suffix == ".csv":
         with open(a, newline="") as fa, open(b, newline="") as fb:
-            return _numbers_diff(list(csv.reader(fa)), list(csv.reader(fb)))
-    if a.suffix == ".json":
-        return _numbers_diff(json.loads(a.read_text()), json.loads(b.read_text()))
-    return None
+            diff = _numbers_diff(list(csv.reader(fa)), list(csv.reader(fb)), None, keys)
+    elif a.suffix == ".json":
+        diff = _numbers_diff(json.loads(a.read_text()), json.loads(b.read_text()), None, keys)
+    else:
+        return None
+    return None if diff is None else (diff, sorted(keys))
 
 
-def _numbers_diff(x, y) -> float | None:
+def diff_note(a: Path, b: Path) -> str:
+    """The max |diff| note printed beside two differing files, with the
+    differing JSON keys in brackets; empty where :func:`value_diff` is None."""
+    diff = value_diff(a, b)
+    if diff is None:
+        return ""
+    return f"  max |diff| {diff[0]:.3g}" + (f" ({', '.join(diff[1])})" if diff[1] else "")
+
+
+def _numbers_diff(x, y, key, keys: set) -> float | None:
     """max |x - y| over the numbers (or numeric strings) of two nests of dicts
-    and lists of the same shape; None where anything else differs."""
+    and lists of the same shape; None where anything else differs.  Adds to
+    keys the dotted dict-key path of each number that differs."""
     if isinstance(x, dict) and isinstance(y, dict):
         if x.keys() != y.keys():
             return None
-        x, y = [x[k] for k in sorted(x)], [y[k] for k in sorted(x)]
+        diffs = [_numbers_diff(x[k], y[k], f"{key}.{k}" if key else k, keys) for k in sorted(x)]
+        return None if None in diffs else max(diffs, default=0.0)
     if isinstance(x, list) and isinstance(y, list):
         if len(x) != len(y):
             return None
-        diffs = [_numbers_diff(u, v) for u, v in zip(x, y)]
+        diffs = [_numbers_diff(u, v, key, keys) for u, v in zip(x, y)]
         return None if None in diffs else max(diffs, default=0.0)
     if x == y:
         return 0.0
@@ -131,6 +149,8 @@ def _numbers_diff(x, y) -> float | None:
         return None
     if u != u or v != v:  # NaN
         return 0.0 if u != u and v != v else None
+    if key is not None:
+        keys.add(key)
     return abs(u - v)
 
 
@@ -145,10 +165,9 @@ def main() -> int:
     for rel in sorted(parent.keys() | change.keys()):
         a, b = parent.get(rel, "-"), change.get(rel, "-")
         differ += a != b
-        diff = None
+        note = ""
         if a != b and "-" not in (a, b):
-            diff = value_diff(WORK / "parent" / rel, WORK / "change" / rel)
-        note = "" if diff is None else f"  max |diff| {diff:.3g}"
+            note = diff_note(WORK / "parent" / rel, WORK / "change" / rel)
         print(f"{'same' if a == b else 'DIFFERS'}  {a}  {b}  {rel}{note}")
     print(f"{len(parent.keys() | change.keys())} files, {differ} differ")
     return 1 if differ else 0

@@ -92,8 +92,6 @@ def _emit(man: dict) -> None:
 
 def cmd_gen_instance(args) -> int:
     t0 = time.perf_counter()
-    if args.eta <= 0:
-        raise ValidationError("eta must be > 0")
     _, spec = random_instance(args.modes, args.squeezers, args.eta, args.rmax, args.seed)
     save_instance(args.out, spec=spec)
     cfg = {

@@ -5,7 +5,12 @@ computed from the covariance matrix as an alternating sum over
 sub-subsets of vacuum overlaps, or estimated as a sample mean.
 Cumulants are the partition-weighted transform of correlators.  Both
 live in dense arrays indexed by the order-then-colex layout of
-:mod:`gbsemu.subsets`, which the sampler reads directly.
+:mod:`gbsemu.subsets`, which the sampler reads directly.  One chunked
+pass over that layout, :func:`_subset_transform`, turns no-click
+probabilities into correlators and correlators into cumulants and back.
+The scalar references :func:`correlator` and
+:func:`moments_from_click_marginals` take each vacuum overlap from
+:func:`gbsemu.gaussian._no_click_probabilities` instead.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, ResourceGuardError, ValidationError
-from .gaussian import GaussianInstance, reduce_modes, vacuum_overlap
+from .gaussian import GaussianInstance, _no_click_probabilities
 from .subsets import (
     binomials,
     colex_chunks,
@@ -77,66 +81,48 @@ class SubsetTable:
         return (SubsetTable, (self.M, self.K, self.values, self.kind))
 
 
-@lru_cache(maxsize=64)
-def _sub_index_arrays(d: int):
-    """For each r, the doubled (rows ++ rows+d) index arrays of all r-subsets."""
-    out = []
-    for r in range(1, d + 1):
-        combs = list(combinations(range(d), r))
-        idx = np.array([R + tuple(k + d for k in R) for R in combs], dtype=int)
-        out.append(idx)
-    return out
-
-
 def correlator(inst: GaussianInstance, subset) -> float:
     """Parity expectation over a mode subset.
 
-    (-1)^d * sum over R of (-2)^|R| times the no-click probability of the
-    reduced state on R; the empty R contributes 1.  Uses the mean vector
-    when the instance is displaced.
+    (-1)^d times the sum over R of (-2)^|R| times the no-click probability
+    P0(R) of the reduced state on R, the empty R contributing 1.  Each P0
+    is its own determinant (:func:`_no_click_sum`), so this checks
+    :func:`correlator_table` independently.
     """
     subset = tuple(sorted(int(k) for k in subset))
-    d = len(subset)
-    if d == 0:
-        return 1.0
-    red = reduce_modes(inst, subset)
-    sig, hbar = red.sigma, red.hbar
-    displaced = red.is_displaced
+    return (-1.0) ** len(subset) * _no_click_sum(inst, subset, -2.0)
+
+
+def _no_click_sum(inst: GaussianInstance, subset: tuple, w: float) -> float:
+    """1 + sum over non-empty R of the sorted subset of w^|R| P0(R).
+
+    One :func:`gbsemu.gaussian._no_click_probabilities` batch per |R|.
+    Raises ValidationError for a mode out of range or repeated.
+    """
+    if subset and (subset[0] < 0 or subset[-1] >= inst.M or len(set(subset)) != len(subset)):
+        raise ValidationError(f"mode subset {list(subset)} invalid for M={inst.M}")
     total = 1.0
-    for r, idx in enumerate(_sub_index_arrays(d), start=1):
-        mats = sig[idx[:, :, None], idx[:, None, :]]
-        A = (mats + (hbar / 2.0) * np.eye(2 * r)) / hbar
-        vals = 1.0 / np.sqrt(np.linalg.det(A))
-        if displaced:
-            for t in range(idx.shape[0]):
-                mu_r = red.mu[idx[t]]
-                shifted = mats[t] + (hbar / 2.0) * np.eye(2 * r)
-                vals[t] *= np.exp(-0.5 * float(mu_r @ np.linalg.solve(shifted, mu_r)))
-        total += (-2.0) ** r * float(vals.sum())
-    return (-1.0) ** d * total
+    for r in range(1, len(subset) + 1):
+        rows = np.array(list(combinations(subset, r)))
+        total += w**r * float(_no_click_probabilities(inst.sigma, inst.mu, inst.hbar, rows).sum())
+    return total
 
 
-def correlator_table(
-    inst: GaussianInstance,
-    K: int,
-    mem_cap_bytes: int | None = None,
-) -> SubsetTable:
+def correlator_table(inst: GaussianInstance, K: int) -> SubsetTable:
     """Correlators of every subset of order 1..K.
 
     The no-click probability P0 of every subset is computed once, into the
     table itself, by :func:`_no_click_lattice`: each subset extends its
     parent's inverse by one mode through a 2x2 Schur complement, so no
-    subset needs its own determinant.  Each order is then turned into
-    correlators in place, from K down to 1: a correlator of order d
-    gathers the P0 values of its sub-subsets, which are of lower order
-    (not yet converted) or its own slot.  Each chunk of order-d subsets
-    ranks its 2^d - 1 sub-subsets once
-    (:func:`gbsemu.subsets.sub_subset_ranks`) and sums its terms in the
-    order of :func:`correlator`.  The table agrees with per-subset calls to
-    1e-13 and does not depend on the chunk size.  Refuses when the table
-    plus the stored inverses of orders 1..K-2 would exceed the memory cap
-    (GBS_MEM_CAP_BYTES or 8 GiB); raises NumericalError naming the modes
-    of a subset whose shifted covariance is not positive definite.
+    subset needs its own determinant.  :func:`_subset_transform` then
+    turns the table into correlators in place, order K first, with the
+    terms of :func:`correlator`: (-1)^d for the empty sub-subset and
+    (-1)^d (-2)^|R| P0(R) for each other one.  The table agrees with
+    per-subset calls to 1e-13 and does not depend on the chunk size.
+    Refuses when the table plus the stored inverses of orders 1..K-2 would
+    exceed the memory cap (GBS_MEM_CAP_BYTES or 8 GiB); raises
+    NumericalError naming the modes of a subset whose shifted covariance
+    is not positive definite.
     """
     M = inst.M
     if not 1 <= K <= min(MAX_ORDER, M):
@@ -144,7 +130,7 @@ def correlator_table(
     count = table_size(M, K)
     # beside the table, the lattice keeps the (2d x 2d) inverses of orders d = 1..K-2
     need = 8 * (count + sum(comb(M, d) * (2 * d) ** 2 for d in range(1, K - 1)))
-    cap = _mem_cap(mem_cap_bytes)
+    cap = int(os.environ.get("GBS_MEM_CAP_BYTES") or DEFAULT_MEM_CAP_BYTES)
     if need > cap:
         raise ResourceGuardError(
             f"correlator table and subset inverses need {need} bytes, cap is {cap}; "
@@ -152,17 +138,16 @@ def correlator_table(
         )
     values = np.empty(count)
     _no_click_lattice(inst, K, values)
-    for d in range(K, 0, -1):
-        base = order_offset(M, d)
-        groups = [[_column(R) for R in combinations(range(d), r)] for r in range(1, d + 1)]
-        for start, rows in colex_chunks(M, d, _CHUNK_ROWS):
-            sub = sub_subset_ranks(rows, M)
-            # every gather, own span included, happens before the span is overwritten
-            total = np.ones(rows.shape[0])
-            for r, cols in enumerate(groups, start=1):
-                # C-ordered, so each row sums its terms in the order of correlator()
-                total += (-2.0) ** r * values[np.ascontiguousarray(sub[:, cols])].sum(axis=1)
-            values[base + start : base + start + rows.shape[0]] = (-1.0) ** d * total
+
+    def terms(d):
+        sign = (-1.0) ** d
+        return [(sign, [])] + [
+            (sign * (-2.0) ** r, [_column(R)])
+            for r in range(1, d + 1)
+            for R in combinations(range(d), r)
+        ]
+
+    _subset_transform(M, K, values, terms, values)
     return SubsetTable(M=M, K=K, values=values, kind="correlator")
 
 
@@ -351,39 +336,42 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mem_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("GBS_MEM_CAP_BYTES")
-    return int(env) if env else DEFAULT_MEM_CAP_BYTES
-
-
 def _column(positions) -> int:
     """Column of :func:`sub_subset_ranks` holding the sub-subset at these row positions."""
     return sum(1 << p for p in positions) - 1
 
 
-def _partition_transform(table: SubsetTable, use_weights: bool, kind: str) -> SubsetTable:
-    M, K = table.M, table.K
-    src = table.values
-    out = np.empty_like(src)
-    out[:M] = src[:M]
-    for d in range(2, K + 1):
+def _subset_transform(M: int, K: int, src: np.ndarray, terms, out: np.ndarray) -> None:
+    """out[S] = sum over (w, cols) in terms(d) of w times the product of src
+    at the sub-subsets of S in cols, for every subset S of order d = 1..K.
+
+    cols are columns of :func:`gbsemu.subsets.sub_subset_ranks`
+    (:func:`_column`); empty cols are the empty product, 1.  Orders run
+    from K down to 1 and each chunk gathers before it writes, so out may
+    be src when the terms of a subset read only itself and lower orders.
+    """
+    for d in range(K, 0, -1):
         base = order_offset(M, d)
-        terms = [
-            (pat.weight if use_weights else 1.0, [_column(block) for block in pat.blocks])
-            for pat in partition_patterns(d)
-        ]
+        weighted = terms(d)
         for start, rows in colex_chunks(M, d, _CHUNK_ROWS):
             gathered = src[sub_subset_ranks(rows, M)]
             acc = np.zeros(rows.shape[0])
-            for weight, cols in terms:
-                prod = np.ones(rows.shape[0])
-                for col in cols:
-                    prod *= gathered[:, col]
+            for weight, cols in weighted:
+                prod = gathered[:, cols[0]] if cols else 1.0
+                for col in cols[1:]:
+                    prod = prod * gathered[:, col]
                 acc += weight * prod
             out[base + start : base + start + rows.shape[0]] = acc
-    return SubsetTable(M=M, K=K, values=out, kind=kind)
+
+
+def _partition_transform(table: SubsetTable, use_weights: bool, kind: str) -> SubsetTable:
+    def terms(d):
+        return [(pat.weight if use_weights else 1.0, [_column(block) for block in pat.blocks])
+                for pat in partition_patterns(d)]
+
+    out = np.empty_like(table.values)
+    _subset_transform(table.M, table.K, table.values, terms, out)
+    return SubsetTable(M=table.M, K=table.K, values=out, kind=kind)
 
 
 def cumulants_from_correlators(table: SubsetTable) -> SubsetTable:
@@ -427,20 +415,14 @@ def cumulant_recursion_residual(
 def moments_from_click_marginals(inst: GaussianInstance, subset) -> float:
     """Probability that every mode in the subset clicks.
 
-    Inclusion-exclusion over no-click events: sum over R of (-1)^|R|
-    times the no-click probability of the reduced state on R.
+    Inclusion-exclusion over no-click events: the sum over R of (-1)^|R|
+    times the no-click probability of the reduced state on R
+    (:func:`_no_click_sum`).
     """
     subset = tuple(sorted(int(k) for k in subset))
     if len(subset) > MOMENT_MAX_ORDER:
         raise ResourceGuardError(f"joint click moment refused beyond order {MOMENT_MAX_ORDER}")
-    if not subset:
-        return 1.0
-    total = 1.0
-    for r in range(1, len(subset) + 1):
-        for R in combinations(subset, r):
-            red = reduce_modes(inst, R)
-            total += (-1.0) ** r * vacuum_overlap(red.sigma, red.mu, red.hbar)
-    return total
+    return _no_click_sum(inst, subset, -1.0)
 
 
 def click_cumulant(inst: GaussianInstance, subset) -> float:

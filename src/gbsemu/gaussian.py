@@ -10,10 +10,13 @@ Conventions used throughout the package:
 
 The exact oracle starts from q(Z), the probability that no mode in Z
 clicks: the vacuum overlap of the reduced state on Z, displaced or not.
-A superset Moebius transform over the modes turns the table of q into
-outcome probabilities.  It is tractable only at desk scale and serves as
-the oracle for everything else; :func:`torontonian` is an independent
-scalar reference for undisplaced states.
+:func:`_no_click_probabilities` is the one determinant evaluation of q;
+:func:`vacuum_overlap` and the scalar references of
+:mod:`gbsemu.cumulants` call it too.  A superset Moebius transform over
+the modes turns the table of q into outcome probabilities.  It is
+tractable only at desk scale and serves as the oracle for everything
+else; :func:`torontonian` is an independent scalar reference for
+undisplaced states.
 """
 
 from __future__ import annotations
@@ -233,26 +236,21 @@ def reduce_modes(inst: GaussianInstance, subset) -> GaussianInstance:
 def vacuum_overlap(sigma: np.ndarray, mu=None, hbar: float = DEFAULT_HBAR) -> float:
     """Probability that no mode of the reduced state registers a photon.
 
-    exp(-mu^T (sigma + hbar/2 I)^(-1) mu / 2) / sqrt(det((sigma + hbar/2 I)/hbar)).
-    The empty state gives 1.  Raises if the value exceeds 1 beyond
-    tolerance; otherwise the result is clamped to [0, 1].
+    exp(-mu^T (sigma + hbar/2 I)^(-1) mu / 2) / sqrt(det((sigma + hbar/2 I)/hbar)),
+    from :func:`_no_click_probabilities` on all modes of sigma.  The empty
+    state gives 1.  Raises if the value exceeds 1 beyond tolerance;
+    otherwise the result is clamped to [0, 1].
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size == 0:
         return 1.0
-    n2 = sigma.shape[0]
-    A = (sigma + (hbar / 2.0) * np.eye(n2)) / hbar
-    sign, logdet = np.linalg.slogdet(A)
-    if sign <= 0 or not np.isfinite(logdet):
-        raise NumericalError("singular shifted covariance: input state is invalid")
-    val = np.exp(-0.5 * logdet)
-    if mu is not None and np.any(np.asarray(mu) != 0.0):
-        mu = np.asarray(mu, dtype=float)
-        quad = float(mu @ np.linalg.solve(sigma + (hbar / 2.0) * np.eye(n2), mu))
-        val *= np.exp(-0.5 * quad)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
+        raise ValidationError(f"covariance must be 2n x 2n, got {sigma.shape}")
+    rows = np.arange(sigma.shape[0] // 2)[None, :]
+    val = float(_no_click_probabilities(sigma, mu, hbar, rows)[0])
     if val > 1.0 + OVERLAP_EXCESS_TOL:
         raise NumericalError(f"vacuum overlap {val} exceeds 1")
-    return float(min(max(val, 0.0), 1.0))
+    return min(max(val, 0.0), 1.0)
 
 
 def husimi_form(inst: GaussianInstance) -> HusimiForm:
@@ -386,7 +384,8 @@ def _click_table(inst: GaussianInstance, quiet: np.ndarray, free: np.ndarray) ->
             # C-ordered rows: for a displaced state the einsum of
             # _no_click_probabilities adds in an order set by the layout
             rows = np.concatenate([np.tile(quiet, (chunk.shape[0], 1)), free[chunk]], axis=1)
-            g[weight[chunk].sum(axis=1)] = _no_click_probabilities(inst, np.sort(rows, axis=1))
+            g[weight[chunk].sum(axis=1)] = _no_click_probabilities(
+                inst.sigma, inst.mu, inst.hbar, np.sort(rows, axis=1))
     for b in range(F - 1, -1, -1):
         stage = g.reshape(-1, 2, 1 << b)
         stage[:, 0] -= stage[:, 1]
@@ -401,19 +400,20 @@ def _in_window(p: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
-def _no_click_probabilities(inst: GaussianInstance, rows: np.ndarray) -> np.ndarray:
-    """Vacuum overlap of the reduced state on each subset row.
+def _no_click_probabilities(sigma: np.ndarray, mu, hbar: float, rows: np.ndarray) -> np.ndarray:
+    """Vacuum overlap of the reduced state on each subset row of a 2M x 2M sigma.
 
     1/sqrt(det((sigma_R + hbar/2)/hbar)), times exp(-mu^T (sigma_R + hbar/2)^-1 mu / 2)
-    when the instance is displaced.  The blocks are gathered from the
+    when mu is given and not zero.  The blocks are gathered from the
     whole matrix shifted (and divided) once, so each entry gets the same
     add and divide as a block shifted on its own, and det sees the same
-    bytes.
+    bytes.  This is the one determinant evaluation of P0 outside the
+    Phase II lattice.
     """
-    M, hbar = inst.M, inst.hbar
+    M = sigma.shape[0] // 2
     quad = np.concatenate([rows, rows + M], axis=1)
     block = (quad[:, :, None], quad[:, None, :])
-    shifted = inst.sigma + (hbar / 2.0) * np.eye(2 * M)
+    shifted = sigma + (hbar / 2.0) * np.eye(2 * M)
     det = np.linalg.det((shifted / hbar)[block])
     bad = ~(np.isfinite(det) & (det > 0.0))
     if bad.any():
@@ -423,8 +423,8 @@ def _no_click_probabilities(inst: GaussianInstance, rows: np.ndarray) -> np.ndar
             f"determinant {det[t]!r}: input state is invalid"
         )
     vals = 1.0 / np.sqrt(det)
-    if inst.is_displaced:
-        mu = inst.mu[quad]
+    if mu is not None and np.any(np.asarray(mu) != 0.0):
+        mu = np.asarray(mu, dtype=float)[quad]
         x = np.linalg.solve(shifted[block], mu[:, :, None])[:, :, 0]
         vals *= np.exp(-0.5 * np.einsum("ij,ij->i", mu, x))
     return vals

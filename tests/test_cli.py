@@ -32,10 +32,12 @@ def test_gen_instance(tmp_path, capsys):
     assert str(out) in man["outputs"]
 
 
-def test_gen_instance_eta_zero_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("eta", ["0", "-0.5", "1.5"])
+def test_gen_instance_eta_zero_rejected(tmp_path, capsys, eta):
+    # random_instance rejects eta outside (0, 1], naming it
     code, _, err = run_cli(
         capsys, "gen-instance", "--modes", "4", "--squeezers", "2",
-        "--eta", "0", "--out", str(tmp_path / "x.json"),
+        "--eta", eta, "--out", str(tmp_path / "x.json"),
     )
     assert code == 2
     assert "eta" in err

@@ -11,7 +11,7 @@ from gbsemu.benchmark import estimate_correlator
 from gbsemu.errors import NumericalError, ResourceGuardError, ValidationError
 from gbsemu.subsets import subset_rank, table_size
 
-from oracles import correlator_from_dist, partition_transform_reference
+from oracles import correlator_from_dist, exact_marginal, partition_transform_reference
 
 
 # --- correlators -----------------------------------------------------------------
@@ -51,6 +51,32 @@ def test_displaced_correlator_matches_brute_force_single_mode():
     assert cu.correlator(inst, (0,)) == pytest.approx(1 - 2 * q, abs=1e-12)
 
 
+def test_displaced_references_match_exact_law():
+    base, _ = g.random_instance(M=5, k=2, eta=0.6, r_max=1.0, seed=5)
+    mu = np.random.default_rng(8).normal(0.0, 0.7, 10)
+    inst = g.GaussianInstance(sigma=base.sigma, mu=mu, hbar=base.hbar)
+    dist = g.brute_force_distribution(inst)
+    for d in range(1, 6):
+        for S in combinations(range(5), d):
+            assert abs(cu.correlator(inst, S) - correlator_from_dist(dist, 5, S)) <= 1e-12
+            want = exact_marginal(dist, 5, S, [1] * 5)
+            assert abs(cu.moments_from_click_marginals(inst, S) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("subset", [(0, 6), (-1, 2), (1, 1)])
+def test_references_reject_invalid_modes(inst6, subset):
+    # a mode >= M, a negative mode and a repeated mode
+    with pytest.raises(ValidationError):
+        cu.correlator(inst6, subset)
+    with pytest.raises(ValidationError):
+        cu.moments_from_click_marginals(inst6, subset)
+
+
+def test_references_of_empty_subset_are_one(inst6):
+    assert cu.correlator(inst6, ()) == 1.0
+    assert cu.moments_from_click_marginals(inst6, ()) == 1.0
+
+
 # --- tables ------------------------------------------------------------------------
 
 
@@ -76,18 +102,21 @@ def test_table_worker_determinism(inst6):
     assert np.array_equal(t1.values, t2.values)
 
 
-def test_memory_guard(inst6):
+def test_memory_guard(inst6, monkeypatch):
+    monkeypatch.setenv("GBS_MEM_CAP_BYTES", "16")
     with pytest.raises(ResourceGuardError):
-        cu.correlator_table(inst6, K=4, mem_cap_bytes=16)
+        cu.correlator_table(inst6, K=4)
 
 
-def test_memory_guard_counts_table_and_inverses(inst6):
+def test_memory_guard_counts_table_and_inverses(inst6, monkeypatch):
     # P0 values are written into the correlator table itself; beside it the
     # lattice keeps the (2d x 2d) inverses of every subset of order d <= K - 2
     need = 8 * (table_size(6, 4) + 6 * 2**2 + comb(6, 2) * 4**2)
+    monkeypatch.setenv("GBS_MEM_CAP_BYTES", str(need - 1))
     with pytest.raises(ResourceGuardError):
-        cu.correlator_table(inst6, K=4, mem_cap_bytes=need - 1)
-    assert cu.correlator_table(inst6, K=4, mem_cap_bytes=need).K == 4
+        cu.correlator_table(inst6, K=4)
+    monkeypatch.setenv("GBS_MEM_CAP_BYTES", str(need))
+    assert cu.correlator_table(inst6, K=4).K == 4
 
 
 def test_table_matches_per_subset_calls_m9_k4():
@@ -116,8 +145,9 @@ def test_table_independent_of_chunk_size(monkeypatch):
     assert np.array_equal(cu.cumulants_from_correlators(small).values, kref.values)
     # the lattice's single steps (parents of orders 0 and 1) run 7-row chunks
     # and its two-mode steps 4 * 7 // 9 = 3 parents per chunk; the conversion
-    # to correlators (4 calls) and the transform (3 calls) ran at the patched size
-    assert caps == [7, 7, 3] + [7] * 7
+    # to correlators and the transform (4 calls each, orders 4..1) ran at the
+    # patched size
+    assert caps == [7, 7, 3] + [7] * 8
 
 
 def test_table_matches_per_subset_calls_k5_small_chunks(monkeypatch):
@@ -168,7 +198,7 @@ def test_lattice_matches_determinants(displaced):
     cu._no_click_lattice(inst, 4, got)
     for d in range(1, 5):
         rows = np.array(list(combinations(range(9), d)))
-        want = g._no_click_probabilities(inst, rows)
+        want = g._no_click_probabilities(inst.sigma, inst.mu, inst.hbar, rows)
         ranks = [subset_rank(tuple(r), 9, 4) for r in rows]
         assert np.all(np.abs(got[ranks] - want) <= 1e-13 * want)
 

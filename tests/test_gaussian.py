@@ -414,6 +414,12 @@ def test_overlap_singular_input_rejected():
         g.vacuum_overlap(sigma, hbar=2.0)
 
 
+def test_overlap_rejects_non_2n_square_input():
+    for sigma in (np.eye(3), np.ones((2, 4)), np.ones(4)):
+        with pytest.raises(ValidationError):
+            g.vacuum_overlap(sigma, hbar=2.0)
+
+
 def test_torontonian_singular_block_rejected():
     with pytest.raises(NumericalError):
         g.torontonian(np.eye(2))

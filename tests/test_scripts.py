@@ -1,5 +1,7 @@
-"""The shared harness of the parent-against-change scripts (scripts/pairs.py)."""
+"""The parent-against-change scripts: their shared harness (scripts/pairs.py)
+and the diff notes of scripts/compare_outputs.py."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
+import compare_outputs  # noqa: E402
 import pairs  # noqa: E402
 
 
@@ -64,3 +67,23 @@ def test_script_help(script):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "--parent-src" in proc.stdout
+
+
+def test_compare_outputs_names_differing_json_keys(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"engine": "batched", "max_clip_excursion": 0.25,
+                             "n_clipped": 3, "phases": {"p0": [1.0, 2.0]}}))
+    b.write_text(json.dumps({"engine": "batched", "max_clip_excursion": 0.25 + 7.08e-11,
+                             "n_clipped": 3, "phases": {"p0": [1.0, 2.0 + 1e-12]}}))
+    diff, keys = compare_outputs.value_diff(a, b)
+    assert diff == pytest.approx(7.08e-11) and keys == ["max_clip_excursion", "phases.p0"]
+    note = compare_outputs.diff_note(a, b)
+    assert note == "  max |diff| 7.08e-11 (max_clip_excursion, phases.p0)"
+    # a key whose text differs makes the files incomparable, as before
+    b.write_text(json.dumps({"engine": "scalar", "max_clip_excursion": 0.25,
+                             "n_clipped": 3, "phases": {"p0": [1.0, 2.0]}}))
+    assert compare_outputs.value_diff(a, b) is None and compare_outputs.diff_note(a, b) == ""
+    c, d = tmp_path / "c.csv", tmp_path / "d.csv"
+    c.write_text("order,value\n2,0.5\n")
+    d.write_text("order,value\n2,0.5000001\n")
+    assert compare_outputs.diff_note(c, d) == "  max |diff| 1e-07"
