@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import platform
@@ -35,7 +36,6 @@ from .gaussian import load_instance, random_instance, save_instance
 from .sampler import (
     METHODS,
     SamplerConfig,
-    aux_values_per_sample,
     batch_sample,
     load_samples,
     save_samples_text,
@@ -44,6 +44,10 @@ from .subsets import partition_patterns
 
 # Wall time the scaling harness spends per Phase II point (it keeps the best run).
 _PHASE2_MIN_TIMING_S = 0.5
+
+# the SampleBatch fields a sample manifest reports under their own names
+_SAMPLE_FIELDS = ("n_failed", "worker_errors", "n_flagged", "n_clipped", "max_clip_excursion",
+                  "engine", "table_columns", "n_deferred", "n_routed", "aux_values_per_sample")
 
 
 def _int_list(text: str, count: int | None = None) -> tuple[int, ...]:
@@ -66,10 +70,11 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(command: str, config: dict, inputs: list, outputs: list, t0: float, extra=None) -> dict:
+def _manifest(args, inputs: list, outputs: list, t0: float, extra=None) -> dict:
+    """The run manifest; its config echoes every parsed flag of the command."""
     man = {
-        "command": command,
-        "config": config,
+        "command": args.cmd,
+        "config": {k: v for k, v in vars(args).items() if k not in ("cmd", "func")},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "versions": {
@@ -94,11 +99,7 @@ def cmd_gen_instance(args) -> int:
     t0 = time.perf_counter()
     _, spec = random_instance(args.modes, args.squeezers, args.eta, args.rmax, args.seed)
     save_instance(args.out, spec=spec)
-    cfg = {
-        "modes": args.modes, "squeezers": args.squeezers, "eta": args.eta,
-        "rmax": args.rmax, "seed": args.seed, "out": args.out,
-    }
-    _emit(_manifest("gen-instance", cfg, [], [args.out], t0))
+    _emit(_manifest(args, [], [args.out], t0))
     return 0
 
 
@@ -118,14 +119,9 @@ def cmd_precompute(args) -> int:
     save_table(ktab, out)
     save_table(ctab, corr_out)
     t5 = time.perf_counter()
-    cfg = {"instance": args.instance, "order": args.order, "out": args.out}
-    _emit(
-        _manifest(
-            "precompute", cfg, [args.instance], [str(out), str(corr_out)], t0,
-            extra={"phase1_s": t2 - t1, "phase2_s": t3 - t2, "transform_s": t4 - t3,
-                   "save_s": t5 - t4, "entries": int(ktab.values.size)},
-        )
-    )
+    _emit(_manifest(args, [args.instance], [str(out), str(corr_out)], t0,
+                    extra={"phase1_s": t2 - t1, "phase2_s": t3 - t2, "transform_s": t4 - t3,
+                           "save_s": t5 - t4, "entries": int(ktab.values.size)}))
     return 0
 
 
@@ -143,37 +139,13 @@ def cmd_sample(args) -> int:
     )
     batch = batch_sample(config, kappa=kappa, inst=inst)
     save_samples_text(args.out, batch)
-    cfg = {
-        "table": args.table, "instance": args.instance, "method": args.method,
-        "order": args.order, "samples": args.samples, "seed": args.seed,
-        "workers": args.workers, "aux_orders": args.aux_orders, "clamp_epsilon": args.clamp_epsilon,
-        "out": args.out,
-    }
     inputs = [args.instance] + ([args.table] if args.table else [])
-    _emit(
-        _manifest(
-            "sample", cfg, inputs, [args.out], t0,
-            extra={
-                "n_generated": batch.N,
-                "n_failed": batch.n_failed,
-                "worker_errors": batch.worker_errors,
-                "n_flagged": batch.n_flagged,
-                "n_clipped": batch.n_clipped,
-                "max_clip_excursion": batch.max_clip_excursion,
-                "engine": batch.engine,
-                "table_columns": batch.table_columns,
-                "sample_steps": config.N * inst.M,
-                "n_deferred": batch.n_deferred,
-                "n_routed": batch.n_routed,
-                "per_sample_s": batch.per_sample_mean,
-                "throughput_per_s": (batch.N / batch.wall_time) if batch.wall_time > 0 else 0.0,
-                "aux_values_per_sample": (
-                    aux_values_per_sample(inst.M, args.method, config.K, config.aux_orders)
-                    if batch.engine == "batched" else 0
-                ),
-            },
-        )
+    extra = {name: getattr(batch, name) for name in _SAMPLE_FIELDS}
+    extra.update(
+        n_generated=batch.N, sample_steps=config.N * inst.M, per_sample_s=batch.per_sample_mean,
+        throughput_per_s=(batch.N / batch.wall_time) if batch.wall_time > 0 else 0.0,
     )
+    _emit(_manifest(args, inputs, [args.out], t0, extra=extra))
     return 0
 
 
@@ -200,26 +172,14 @@ def cmd_benchmark(args) -> int:
             "pearson": report.pearson, "spearman": report.spearman,
             "slope": report.slope, "tvd": report.tvd, "notes": report.notes,
         }
-    cfg = {
-        "samples": list(args.samples), "instance": args.instance,
-        "orders": args.orders, "xeb_range": args.xeb_range, "out": args.out,
-    }
-    _emit(
-        _manifest(
-            "benchmark", cfg, list(args.samples) + [args.instance], outputs, t0,
-            extra={"summaries": summaries},
-        )
-    )
+    _emit(_manifest(args, list(args.samples) + [args.instance], outputs, t0,
+                    extra={"summaries": summaries}))
     return 0
 
 
 def _time_sampling(kappa, config: SamplerConfig) -> float:
     """Seconds to draw config.N samples, after one discarded warmup batch."""
-    warm = SamplerConfig(
-        N=min(4, config.N), K=config.K, method=config.method, aux_orders=config.aux_orders,
-        seed=config.seed, workers=1,
-    )
-    batch_sample(warm, kappa=kappa)
+    batch_sample(dataclasses.replace(config, N=min(4, config.N), workers=1), kappa=kappa)
     t0 = time.perf_counter()
     batch_sample(config, kappa=kappa)
     return time.perf_counter() - t0
@@ -299,16 +259,7 @@ def cmd_scaling(args) -> int:
             for r in throughput_rows:
                 fh.write(f"{r['workers']},{r['throughput']!r}\n")
         outputs.append(str(tp_csv))
-    cfg = {
-        "orders": args.orders, "modes": args.modes, "samples_per_point": args.samples_per_point,
-        "workers": args.workers, "throughput_modes": args.throughput_modes, "out": args.out,
-    }
-    _emit(
-        _manifest(
-            "scaling", cfg, [], outputs, t0,
-            extra={"slopes": slopes, "throughput": throughput_rows},
-        )
-    )
+    _emit(_manifest(args, [], outputs, t0, extra={"slopes": slopes, "throughput": throughput_rows}))
     return 0
 
 

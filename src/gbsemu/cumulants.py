@@ -27,8 +27,8 @@ import numpy as np
 from .errors import NumericalError, ResourceGuardError, ValidationError
 from .gaussian import GaussianInstance, _no_click_probabilities
 from .subsets import (
-    binomials,
     colex_chunks,
+    dense_rank,
     order_offset,
     partition_patterns,
     sub_subset_ranks,
@@ -163,9 +163,11 @@ def _no_click_lattice(inst: GaussianInstance, K: int, values: np.ndarray) -> Non
     exp(mu_S^T A_S^-1 mu_S / hbar) is a product of one factor per step;
     the empty parent has W = 1.  `values` holds W until every order is
     done and then P0 = W^-1/2, one square root per subset.  In colex order
-    the order-d subsets with largest mode k fill the block at rank
-    C(k, d), and their parents are the order-(d-1) ranks [0, C(k, d-1))
-    in the same order, so every step reads and writes contiguous slices.
+    the order-d subsets with largest mode k are contiguous from
+    ``dense_rank([k], M, start=d-1)``, in the order of their parents, the
+    order-(d-1) subsets of {0..k-1}, which lead their own block; so every
+    step reads and writes contiguous slices.  The pairs {j, k} added to a
+    parent start at ``dense_rank([j, k], M, start=d-2)``.
 
     A_S^-1 follows from A_S'^-1 and Sc^-1 by the block inverse, and is
     kept for orders up to K - 2 only.  Each order-(K-2) subset then takes
@@ -183,7 +185,6 @@ def _no_click_lattice(inst: GaussianInstance, K: int, values: np.ndarray) -> Non
     A = (inst.sigma + (hbar / 2.0) * np.eye(2 * M)) / hbar
     G = np.ascontiguousarray(A.reshape(2, M, 2, M).transpose(1, 3, 0, 2))
     mu = np.ascontiguousarray(inst.mu.reshape(2, M).T) if inst.is_displaced else None
-    binom = binomials(M)
 
     def extend(inv, w, rows, k):
         """Add mode k to every parent row: (B, X, Sc, Sc^-1, r, W)."""
@@ -209,18 +210,20 @@ def _no_click_lattice(inst: GaussianInstance, K: int, values: np.ndarray) -> Non
 
     # order 0: the empty subset and its empty inverse
     inv = np.empty((1, 0, 0))
+    modes = np.arange(M)
     for d in range(1, K - 1):
         new = np.empty((comb(M, d), 2 * d, 2 * d))
         base = order_offset(M, d)
+        first = dense_rank([modes], M, start=d - 1)  # by largest mode k
         m = 2 * d - 2
         for start, inv_c, w_c, rows, lo in chunks(d - 1, inv, _CHUNK_ROWS):
             for k in range(lo, M):
                 n = int(np.searchsorted(rows[:, -1], k)) if d > 1 else 1
                 _, X, _, Si, _, out = extend(inv_c[:n], w_c[:n], rows[:n], k)
-                dst = binom[d][k] + start
-                values[base + dst : base + dst + n] = out
+                dst = first[k] + start
+                values[dst : dst + n] = out
                 XSi = X @ Si
-                blk = new[dst : dst + n]
+                blk = new[dst - base : dst - base + n]
                 blk[:, :m, :m] = inv_c[:n] + XSi @ X.transpose(0, 2, 1)
                 blk[:, :m, m:] = -XSi
                 blk[:, m:, :m] = -(Si @ X.transpose(0, 2, 1))
@@ -228,7 +231,7 @@ def _no_click_lattice(inst: GaussianInstance, K: int, values: np.ndarray) -> Non
         inv = new
 
     L = max(K - 2, 0)
-    base1, base2 = order_offset(M, L + 1), order_offset(M, L + 2)
+    one, two = dense_rank([modes], M, start=L), dense_rank([modes[:, None], modes], M, start=L)
     for start, inv_c, w_c, rows, lo in chunks(L, inv, max(1, 4 * _CHUNK_ROWS // M)):
         # B, Sc and r of each mode k added to this chunk's parents
         nc = rows.shape[0]
@@ -236,7 +239,7 @@ def _no_click_lattice(inst: GaussianInstance, K: int, values: np.ndarray) -> Non
         for j in range(M - 1, lo - 1, -1):
             n = int(np.searchsorted(rows[:, -1], j)) if L else 1
             kB[j, :n], Xj, kSc[j, :n], Sij, rj, out = extend(inv_c[:n], w_c[:n], rows[:n], j)
-            dst = base1 + binom[L + 1][j] + start
+            dst = one[j] + start
             values[dst : dst + n] = out
             if K == 1:
                 continue
@@ -249,7 +252,7 @@ def _no_click_lattice(inst: GaussianInstance, K: int, values: np.ndarray) -> Non
                 kr[j, :n] = rj
                 t = kr[j + 1 :, :n] - (C @ (Sij @ rj[:, :, None]))[..., 0]
                 wk *= np.exp(_quadratic_2(t, S2i) / hbar)
-            dst = base2 + binom[L + 2][j + 1 : M] + binom[L + 1][j] + start
+            dst = two[j, j + 1 :] + start
             values[dst[:, None] + np.arange(n)] = wk
     np.sqrt(values, out=values)
     np.divide(1.0, values, out=values)

@@ -29,6 +29,7 @@ batches are reproducible and independent of worker count.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -115,6 +116,9 @@ class SampleBatch:
     table_columns: int = 0
     n_deferred: int = 0
     n_routed: int = 0
+    # float64 values the batched engine's tables held per column
+    # (:func:`aux_values_per_sample`); 0 where another engine ran
+    aux_values_per_sample: int = 0
 
 
 def _stream_uniforms(seed: int, start: int, count: int, M: int) -> np.ndarray:
@@ -242,10 +246,12 @@ class MarginalTables:
     deferred: ``run`` marks it -1, and the caller restarts it later.
 
     A finished run is a read-only prefix trie: each column keeps the
-    conditional it drew every bit with (``q0``), and ``branch[n, c]`` names
-    the column that forked from c at step n (-1 where none did).  ``route``
-    walks fresh samples down it, so only the samples that leave it need a
-    run of their own.
+    conditional it drew every bit with (``q0``), and ``succ[b, n, c]``
+    names the column that a sample of column c moves to on drawing bit b at
+    step n: c itself, the column that forked from c, or -1 where no sample
+    of the run went that way.  Its last column is a sink whose successors
+    are all -1, so index -1 reaches it.  ``route`` walks fresh samples down
+    the trie, so only the samples that leave it need a run of their own.
 
     Every array carries a trailing column axis allocated once at the full
     width; the updates run on views of the live columns, and every
@@ -309,7 +315,7 @@ class MarginalTables:
         for name, full in arrays.items():
             setattr(self, "_" + name, full)
         self._columns = tuple(arrays)
-        self.branch = np.full((M, self.W), -1, dtype=np.int64)
+        self.succ = np.full((2, M, self.W + 1), -1, dtype=np.int64)
         diag = np.arange(M + 1)
         self._P[diag, diag] = 1.0  # empty intervals
         self._pref[0] = 1.0
@@ -531,8 +537,8 @@ class MarginalTables:
         and ``max_clip_excursion`` holds the results of the samples mapped
         to c; ``s[n]`` is 1 - 2 * bit n.  A deferred sample maps to -1.
         ``table_columns`` counts the column-steps computed: the live
-        prefixes summed over the steps, of which ``live`` are left.
-        ``branch`` records each fork, for ``route``.
+        prefixes summed over the steps.  ``succ`` records where each live
+        column's samples went, for ``route``.
 
         Each conditional q0 comes from ``_conditional``.
         """
@@ -543,7 +549,6 @@ class MarginalTables:
         for name in _SAMPLE_STATE:
             getattr(self, "_" + name)[:] = 0
         self._set_width(2)
-        self.branch[:] = -1
         self.table_columns = 0
         live = 1
         for n in range(self.M):
@@ -556,13 +561,14 @@ class MarginalTables:
             drew[one.view(np.uint8), col] = True
             forks = np.flatnonzero(drew[0] & drew[1])
             grown = 0
+            succ = self.succ[:, n, :live]
+            succ[:] = np.where(drew, np.arange(live), -1)
             if forks.size:
                 # bit-1 samples of a forking column move to a new column, or wait
                 parents = forks[: self.W - live]
-                child = np.full(live, -1, dtype=np.int64)
-                child[parents] = np.arange(live, live + parents.size)
-                self.branch[n, parents] = child[parents]
-                col = np.where(one & drew[0][col], child[col], col)
+                succ[1, forks] = -1
+                succ[1, parents] = np.arange(live, live + parents.size)
+                col = succ[one.view(np.uint8), col]
                 if parents.size < forks.size:
                     stay = col >= 0
                     sample, col = sample[stay], col[stay]
@@ -576,7 +582,6 @@ class MarginalTables:
             self._set_width(max(live, 2))
             self.table_columns += live
             self.advance(n, bits_n, q0)
-        self.live = live
         result = np.full(draws.shape[1], -1, dtype=np.int64)
         result[sample] = col
         return result
@@ -585,25 +590,15 @@ class MarginalTables:
         """The column of the finished run that each fresh sample reaches, or -1.
 
         Sample i in column c draws bit n as ``uniforms[n, i] >= q0[n, c]``,
-        as ``run`` draws it.  It stays in c where that is c's bit n, moves
-        to ``branch[n, c]`` otherwise, and leaves the trie (-1) where c did
-        not fork.  A column's values do not depend on the other columns, so
-        the column a sample reaches holds what a run of it would compute.
+        as ``run`` draws it, and moves to ``succ[bit, n, c]``; a sample that
+        left the trie stays in the sink.  A column's values do not depend on
+        the other columns, so the column a sample reaches holds what a run
+        of it would compute.
         """
-        live = self.live
-        # the column a sample moves to on drawing 0 or 1; column -1, past the
-        # live ones, is a sink that off-trie samples never leave
-        q0 = np.zeros((self.M, live + 1))
-        q0[:, :live] = self.q0[:, :live]
-        to = np.full((2, self.M, live + 1), -1, dtype=np.int64)
-        one = self.s[:, :live] < 0
-        stay = np.broadcast_to(np.arange(live), one.shape)
-        branch = self.branch[:, :live]
-        to[0, :, :live] = np.where(one, branch, stay)
-        to[1, :, :live] = np.where(one, stay, branch)
         col = np.zeros(uniforms.shape[1], dtype=np.int64)
         for n in range(self.M):
-            col = np.where(uniforms[n] >= q0[n][col], to[1, n][col], to[0, n][col])
+            one = uniforms[n] >= self.q0[n][col]
+            col = np.where(one, self.succ[1, n][col], self.succ[0, n][col])
         return col
 
 
@@ -773,7 +768,7 @@ def aux_values_per_sample(M: int, method: str, K: int = 5, aux_orders=None) -> i
     and h values for each of its M-h order-2 and M-h-1 order-3 V rows; one
     zero slot ends it.  At K = 5 with the default aux orders that makes 1,475
     values at M = 12 and 10,431 at M = 24.  The kappa relayouts, shared by
-    the batch, and the int64 branch map are not counted.
+    the batch, and the int64 successor table ``succ`` are not counted.
     """
     K = min(K, M)
     aux = aux_orders or tuple(min(a, K) for a in _DEFAULT_AUX[method])
@@ -833,13 +828,19 @@ def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: in
     if _fast_supported(config):
         tables = MarginalTables(kappa, config, batch=min(_auto_batch(M, config), n))
 
-        def finish(samples, col):
-            """Record the samples whose prefixes ended in columns `col`."""
+        def settle(first, offsets, col):
+            """Record the samples of u[:, first:] that reached a column, move the
+            rest to u[:, first:] in order, and return the offsets of the rest."""
             nonlocal counts, excursion
+            done = col >= 0
+            samples, col = offsets[done], col[done]
             out[samples] = np.ascontiguousarray((tables.s < 0).T)[col]
             aborted[samples] = tables.aborted[col]
             counts += (tables.flagged[col].sum(), tables.n_clipped[col].sum(), 0, 0, 0)
             excursion = max(excursion, float(tables.max_clip_excursion[col].max(initial=0.0)))
+            rest = offsets[~done]
+            u[:, first : first + rest.size] = u[:, first : first + offsets.size][:, ~done]
+            return rest
 
         # uniforms of the samples waiting for a run, then fresh ones
         u = np.empty((M, min(_RUN_SAMPLES_PER_COLUMN * tables.W, n)))
@@ -853,21 +854,13 @@ def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: in
             offsets = np.arange(fresh, fresh + take)
             fresh += take
             if trie and take:
-                col = tables.route(u[:, new])
-                on = col >= 0
-                finish(offsets[on], col[on])
-                offsets = offsets[~on]
-                u[:, idx.size : idx.size + offsets.size] = u[:, new][:, ~on]
+                offsets = settle(idx.size, offsets, tables.route(u[:, new]))
                 counts += (0, 0, 0, offsets.size, take - offsets.size)
             idx = np.concatenate([idx, offsets])
             if not idx.size or (fresh < n and idx.size < u.shape[1]):
                 continue
-            col = tables.run(u[:, : idx.size])
+            idx = settle(0, idx, tables.run(u[:, : idx.size]))
             trie = True
-            done = col >= 0
-            u[:, : idx.size - done.sum()] = u[:, : idx.size][:, ~done]
-            finish(idx[done], col[done])
-            idx = idx[~done]
             counts += (0, 0, tables.table_columns, idx.size, 0)
     else:
         for t in range(n):
@@ -921,8 +914,9 @@ def batch_sample(
 
     N is split into one contiguous range of ceil(N / workers) samples per
     worker; one worker runs its range in-process, more run one pool task
-    each.  Sample i is drawn from stream (seed, i) whatever its range, so
-    the output is byte-identical for any worker count.  Aborted samples
+    each, on at most os.cpu_count() processes.  Sample i is drawn from
+    stream (seed, i) whatever its range, so the output is byte-identical
+    for any worker count.  Aborted samples
     (non-finite table values) and the ranges of tasks that raised are
     dropped and counted; the batch is then partial.
     """
@@ -944,7 +938,7 @@ def batch_sample(
     ranges = [(s, min(s + size, config.N)) for s in range(0, config.N, size)]
     if config.workers > 1 and ranges:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(ranges), os.cpu_count() or 1)) as pool:
             tasks = [pool.submit(_pool_chunk, kappa, config, s, e) for s, e in ranges]
         # a task that raised yields its exception in place of its result
         results = [task.exception() or task.result() for task in tasks]
@@ -962,12 +956,15 @@ def batch_sample(
     bits = bits[keep]
     wall = time.perf_counter() - t0
     n_ok = int(keep.sum())
+    batched = _fast_supported(config)
     return SampleBatch(
         M=M, N=n_ok, bitstrings=bits, method=config.method, K=config.K,
         seed=config.seed, wall_time=wall,
         per_sample_mean=wall / max(n_ok, 1),
         n_failed=int(config.N - n_ok), max_clip_excursion=excursion,
-        worker_errors=worker_errors, engine="batched" if _fast_supported(config) else "scalar",
+        worker_errors=worker_errors, engine="batched" if batched else "scalar",
+        aux_values_per_sample=(
+            aux_values_per_sample(M, config.method, config.K, config.aux_orders) if batched else 0),
         **dict(zip(_COUNTS, map(int, counts))),
     )
 

@@ -1,7 +1,8 @@
 """Brute-force reference evaluators used as independent oracles in tests.
 
 Everything here works directly from the exact 2^M outcome distribution,
-never through the sampler's dynamic program.
+never through the sampler's dynamic program, except ExactTailChain: the
+scalar chain with its deepest marginals taken from that distribution.
 """
 
 from itertools import combinations
@@ -9,6 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from gbsemu import gaussian as g
+from gbsemu.sampler import ScalarChain
 from gbsemu.subsets import partition_patterns
 
 
@@ -29,6 +31,26 @@ def exact_marginal(dist: np.ndarray, M: int, kept, bits) -> float:
         if all(((i >> (M - 1 - k)) & 1) == int(bits[k]) for k in kept):
             total += dist[i]
     return total
+
+
+class ExactTailChain(ScalarChain):
+    """ScalarChain whose marginals with more than ``bottom`` elided bits are exact.
+
+    The chain factorizes such a marginal over bits 0..top minus the
+    elisions into intervals times a pref / q1 / q2 entry; this one reads
+    it from the exact distribution `dist` instead.  Everything else, the
+    truncated expansion included, is the chain's own.
+    """
+
+    def __init__(self, kappa, config, dist):
+        super().__init__(kappa, config)
+        self.dist = dist
+
+    def _tail(self, top, D, lo):
+        if lo is None and len(D) > self.bottom:
+            kept = [k for k in range(top + 1) if k not in D]
+            return exact_marginal(self.dist, self.M, kept, self.sign < 0)
+        return super()._tail(top, D, lo)
 
 
 def parity(bits, subset) -> int:

@@ -546,3 +546,36 @@ def test_manifest_lists_inputs_and_versions(tmp_path, capsys, instance_file, tab
     assert all(len(h) == 64 for h in man["inputs"].values())
     assert man["versions"]["gbsemu"]
     assert man["peak_rss_kb"] > 0
+
+
+def _echo_argv(tmp_path, instance_file, table_file):
+    """argv of each command, with every sample flag and the ignored flags set."""
+    samples = tmp_path / "s.txt"
+    return {
+        "sample": ["sample", "--table", str(table_file), "--instance", str(instance_file),
+                   "--method", "double_elision", "--order", "4", "--samples", "6",
+                   "--seed", "5", "--workers", "1", "--aux-orders", "3,2,1",
+                   "--clamp-epsilon", "0.01", "--out", str(samples)],
+        "benchmark": ["benchmark", "--samples", str(samples), "--instance", str(instance_file),
+                      "--orders", "2", "--xeb-range", "0,3", "--seed", "7",
+                      "--out", str(tmp_path / "rep")],
+        "scaling": ["scaling", "--orders", "2", "--modes", "6", "--samples-per-point", "2",
+                    "--precompute-workers", "3", "--out", str(tmp_path / "sc")],
+    }
+
+
+def test_manifest_config_echoes_every_parsed_flag(tmp_path, capsys, instance_file, table_file):
+    # the ignored benchmark --seed and scaling --precompute-workers included
+    argv = _echo_argv(tmp_path, instance_file, table_file)
+    config = {}
+    for cmd in ("sample", "benchmark", "scaling"):
+        code, man, _ = run_cli(capsys, *argv[cmd])
+        assert code == 0 and man["command"] == cmd
+        config[cmd] = man["config"]
+        parsed = vars(cli.build_parser().parse_args(argv[cmd]))
+        expect = {k: v for k, v in parsed.items() if k not in ("cmd", "func")}
+        assert config[cmd] == json.loads(json.dumps(expect)), cmd
+    assert config["benchmark"]["seed"] == 7
+    assert config["scaling"]["precompute_workers"] == 3
+    assert config["sample"]["aux_orders"] == [3, 2, 1]
+    assert config["sample"]["clamp_epsilon"] == 0.01

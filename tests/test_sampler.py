@@ -10,7 +10,7 @@ from gbsemu import gaussian as g
 from gbsemu import sampler as sp
 from gbsemu.errors import ResourceGuardError, ValidationError
 
-from oracles import exact_marginal, per_outcome_distribution, product_law
+from oracles import ExactTailChain, exact_marginal, per_outcome_distribution, product_law
 
 
 def make_tables(inst, K):
@@ -236,6 +236,19 @@ def test_full_order_joint_probabilities_m6():
         assert sp.chain_joint_probability(ktab, bits, cfg) == pytest.approx(dist[i], abs=1e-9)
 
 
+def test_full_order_chain_with_exact_deep_tails_m6():
+    # the setting of the strict xfail above: with the marginals of three or
+    # more elided bits read exactly, the rest of the full-order chain is exact
+    inst, _ = g.random_instance(M=6, k=3, eta=0.6, r_max=1.2, seed=3)
+    dist = g.brute_force_distribution(inst)
+    ktab = cu.cumulants_from_correlators(cu.correlator_table(inst, K=6))
+    cfg = sp.SamplerConfig(N=0, K=6, method="double_elision", aux_orders=(6, 6, 6))
+    for i, bits in enumerate(g.outcome_bits(np.arange(64), 6)):
+        chain = ExactTailChain(ktab, cfg, dist)
+        chain.run(forced=bits)
+        assert abs(chain.pref[6] - dist[i]) <= 1e-14
+
+
 # --- sampling --------------------------------------------------------------------
 
 
@@ -327,6 +340,55 @@ def test_worker_count_invariance(lossy7, N, workers):
     b1 = sp.batch_sample(sp.SamplerConfig(workers=1, **kw), kappa=ktab)
     b2 = sp.batch_sample(sp.SamplerConfig(workers=workers, **kw), kappa=ktab)
     assert np.array_equal(b1.bitstrings, b2.bitstrings)
+
+
+def test_pool_capped_at_cpu_count(lossy7, monkeypatch):
+    # six ranges of two samples on a host of two CPUs: two processes, and
+    # the samples and counters of one worker; the pool runs in-process here
+    import concurrent.futures
+
+    _, ktab = lossy7
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sp.os, "cpu_count", lambda: 2)
+    kw = dict(N=12, K=5, method="double_elision", seed=9)
+    one = sp.batch_sample(sp.SamplerConfig(workers=1, **kw), kappa=ktab)
+    six = sp.batch_sample(sp.SamplerConfig(workers=6, **kw), kappa=ktab)
+    assert pools == [2]
+    assert np.array_equal(six.bitstrings, one.bitstrings)
+    for name in ("n_failed", "n_flagged", "n_clipped", "max_clip_excursion"):
+        assert getattr(six, name) == getattr(one, name), name
+
+
+@pytest.mark.parametrize("method,K,engine", [("double_elision", 5, "batched"),
+                                             ("single_elision", 3, "batched"),
+                                             ("single_elision", 4, "scalar")])
+def test_batch_reports_aux_values_of_engine_that_ran(lossy7, method, K, engine):
+    inst, ktab = lossy7
+    cfg = sp.SamplerConfig(N=4, K=K, method=method, seed=1)
+    batch = sp.batch_sample(cfg, kappa=ktab)
+    assert batch.engine == engine
+    layout = sp._column_layout(7, K, method, cfg.aux_orders)
+    held = sum(int(np.prod(shape)) for shape, _ in layout.values())
+    assert batch.aux_values_per_sample == (held if engine == "batched" else 0)
+    exact = sp.batch_sample(sp.SamplerConfig(N=4, method="exact_reference"), inst=inst)
+    assert exact.engine == "exact" and exact.aux_values_per_sample == 0
 
 
 @pytest.mark.skipif(
