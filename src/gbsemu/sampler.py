@@ -29,7 +29,6 @@ batches are reproducible and independent of worker count.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -914,9 +913,8 @@ def batch_sample(
 
     N is split into one contiguous range of ceil(N / workers) samples per
     worker; one worker runs its range in-process, more run one pool task
-    each, on at most os.cpu_count() processes.  Sample i is drawn from
-    stream (seed, i) whatever its range, so the output is byte-identical
-    for any worker count.  Aborted samples
+    each.  Sample i is drawn from stream (seed, i) whatever its range, so
+    the output is byte-identical for any worker count.  Aborted samples
     (non-finite table values) and the ranges of tasks that raised are
     dropped and counted; the batch is then partial.
     """
@@ -938,7 +936,7 @@ def batch_sample(
     ranges = [(s, min(s + size, config.N)) for s in range(0, config.N, size)]
     if config.workers > 1 and ranges:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(len(ranges), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             tasks = [pool.submit(_pool_chunk, kappa, config, s, e) for s, e in ranges]
         # a task that raised yields its exception in place of its result
         results = [task.exception() or task.result() for task in tasks]

@@ -342,40 +342,6 @@ def test_worker_count_invariance(lossy7, N, workers):
     assert np.array_equal(b1.bitstrings, b2.bitstrings)
 
 
-def test_pool_capped_at_cpu_count(lossy7, monkeypatch):
-    # six ranges of two samples on a host of two CPUs: two processes, and
-    # the samples and counters of one worker; the pool runs in-process here
-    import concurrent.futures
-
-    _, ktab = lossy7
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sp.os, "cpu_count", lambda: 2)
-    kw = dict(N=12, K=5, method="double_elision", seed=9)
-    one = sp.batch_sample(sp.SamplerConfig(workers=1, **kw), kappa=ktab)
-    six = sp.batch_sample(sp.SamplerConfig(workers=6, **kw), kappa=ktab)
-    assert pools == [2]
-    assert np.array_equal(six.bitstrings, one.bitstrings)
-    for name in ("n_failed", "n_flagged", "n_clipped", "max_clip_excursion"):
-        assert getattr(six, name) == getattr(one, name), name
-
-
 @pytest.mark.parametrize("method,K,engine", [("double_elision", 5, "batched"),
                                              ("single_elision", 3, "batched"),
                                              ("single_elision", 4, "scalar")])
