@@ -8,9 +8,8 @@ BLAS thread, and writes under its own directory in
 ``.bench_build/compare/``.  The inputs are perfbench's ``deep-k5`` and
 ``exact-m12`` workloads (M/4 squeezers, eta 0.5, r_max 1.0, instance seed
 1), double-elision inputs at K=3 (M=16) and K=4 (M=20), which fill only
-some parts of the sampler's row contractions, an M=64, K=3
-single-elision input, and an M=10, K=4 single-elision input, which runs
-on the scalar engine ``ScalarChain``.  Every sampling seed gets its own
+some parts of the sampler's row contractions, and an M=64, K=3
+single-elision input.  Every sampling seed gets its own
 samples, the deterministic fields of each sample manifest (``MANIFEST``,
 written as JSON next to the samples, null where a tree has no such field) and its report (or, where the
 report is refused, its exit code and error).  The script prints the
@@ -47,11 +46,10 @@ INPUTS = (
     ("double-k3", 16, 3, "double_elision", 4000, "2,3"),
     ("double-k4", 20, 4, "double_elision", 4000, "2,3"),
     ("single-m64", 64, 3, "single_elision", 4096, "2"),
-    ("scalar-k4", 10, 4, "single_elision", 200, "2,3"),
 )
 # the sample manifest fields that do not depend on timing or on the host
 MANIFEST = ("n_generated", "n_failed", "n_flagged", "n_clipped", "max_clip_excursion",
-            "engine", "table_columns", "n_deferred", "n_routed",
+            "table_columns", "n_deferred", "n_routed",
             "aux_values_per_sample", "worker_errors")
 
 _CHILD = """

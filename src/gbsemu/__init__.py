@@ -57,7 +57,6 @@ from .sampler import (
     chain_joint_probability,
     exact_reference_sampler,
     load_samples,
-    sample_one,
     save_samples_packed,
     save_samples_text,
 )

@@ -47,7 +47,7 @@ _PHASE2_MIN_TIMING_S = 0.5
 
 # the SampleBatch fields a sample manifest reports under their own names
 _SAMPLE_FIELDS = ("n_failed", "worker_errors", "n_flagged", "n_clipped", "max_clip_excursion",
-                  "engine", "table_columns", "n_deferred", "n_routed", "aux_values_per_sample")
+                  "table_columns", "n_deferred", "n_routed", "aux_values_per_sample")
 
 
 def _int_list(text: str, count: int | None = None) -> tuple[int, ...]:
@@ -314,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_int_list, default=(),
                    help="comma-separated worker counts for throughput")
     p.add_argument("--throughput-modes", dest="throughput_modes", type=int, default=64)
-    p.add_argument("--precompute-workers", dest="precompute_workers", type=int, default=1,
-                   help="accepted for compatibility and ignored: Phase II runs in one process")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scaling)
     return ap

@@ -17,10 +17,11 @@ whose top index coincides with an elision degrade to the next shorter
 table (q2 -> q1 -> pref); the tables store these degenerate entries
 directly so lookups never branch.
 
-The fast engine processes a batch of samples at once (tables carry a
-trailing batch axis) so the per-sample Python overhead is amortized; a
-scalar engine with the same update schedule supports arbitrary expansion
-orders and doubles as a cross-check oracle in the tests.
+``MarginalTables``, the one engine ``batch_sample`` runs, draws a batch of
+samples at once (its tables carry a trailing column axis), so the
+per-sample Python overhead is amortized; it holds only the rules above.
+``ScalarChain`` follows the same schedule at any order, one sample at a
+time: it is the tests' oracle and ``chain_joint_probability``'s fallback.
 
 Randomness is counter-based: the uniforms of sample i are the first M doubles
 of ``Generator(Philox(key=seed mod 2**64, counter=i * ceil(M / 4)))``, so
@@ -106,8 +107,6 @@ class SampleBatch:
     max_clip_excursion: float = 0.0
     # "<exception type>: <message>" of each worker range that raised
     worker_errors: list[str] = field(default_factory=list)
-    # "batched" (MarginalTables), "scalar" (ScalarChain) or "exact"
-    engine: str = ""
     # column-steps the chain computed (N * M without prefix sharing);
     # samples restarted in a later table run, for want of a free column or
     # because they left the previous run's trie; and samples whose bits came
@@ -115,8 +114,8 @@ class SampleBatch:
     table_columns: int = 0
     n_deferred: int = 0
     n_routed: int = 0
-    # float64 values the batched engine's tables held per column
-    # (:func:`aux_values_per_sample`); 0 where another engine ran
+    # float64 values MarginalTables held per column (:func:`aux_values_per_sample`);
+    # 0 for exact_reference
     aux_values_per_sample: int = 0
 
 
@@ -170,7 +169,7 @@ def _conditional(p0, pref, kappa_n: float, eps: float, state) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fast batched engine
+# Batched engine
 # ---------------------------------------------------------------------------
 
 
@@ -283,7 +282,7 @@ class MarginalTables:
         if not _fast_supported(config):
             raise ValidationError(
                 f"{config.method} at K={config.K}, aux orders {config.aux_orders} "
-                "runs on ScalarChain, not on these tables"
+                "is beyond the rules these tables hold"
             )
         _check_table(kappa, config)
         self.M = kappa.M
@@ -602,15 +601,15 @@ class MarginalTables:
 
 
 # ---------------------------------------------------------------------------
-# Generic scalar engine (arbitrary expansion orders; cross-check oracle)
+# Scalar oracle (arbitrary expansion orders)
 # ---------------------------------------------------------------------------
 
 
 class ScalarChain:
-    """Reference implementation supporting any K and aux orders up to M.
+    """Reference chain supporting any K and aux orders up to M; batch_sample never runs it.
 
-    Same update schedule and degenerate-elision conventions as the fast
-    engine, written with plain dictionaries and loops.  With K and the
+    Same update schedule and degenerate-elision conventions as
+    MarginalTables, written with plain dictionaries and loops.  With K and the
     aux orders equal to M, its joint probabilities match the exact
     distribution for M <= 5; at M = 6 they are about 2e-9 off.  One
     run draws one sample: bit n is ``sign[n] < 0``, and ``flagged``,
@@ -824,65 +823,48 @@ def _chunk_chain(kappa: SubsetTable, config: SamplerConfig, start: int, stop: in
     counts = np.zeros(len(_COUNTS), dtype=np.int64)
     excursion = 0.0
     aborted = np.zeros(n, dtype=bool)
-    if _fast_supported(config):
-        tables = MarginalTables(kappa, config, batch=min(_auto_batch(M, config), n))
+    tables = MarginalTables(kappa, config, batch=min(_auto_batch(M, config), n))
 
-        def settle(first, offsets, col):
-            """Record the samples of u[:, first:] that reached a column, move the
-            rest to u[:, first:] in order, and return the offsets of the rest."""
-            nonlocal counts, excursion
-            done = col >= 0
-            samples, col = offsets[done], col[done]
-            out[samples] = np.ascontiguousarray((tables.s < 0).T)[col]
-            aborted[samples] = tables.aborted[col]
-            counts += (tables.flagged[col].sum(), tables.n_clipped[col].sum(), 0, 0, 0)
-            excursion = max(excursion, float(tables.max_clip_excursion[col].max(initial=0.0)))
-            rest = offsets[~done]
-            u[:, first : first + rest.size] = u[:, first : first + offsets.size][:, ~done]
-            return rest
+    def settle(first, offsets, col):
+        """Record the samples of u[:, first:] that reached a column, move the
+        rest to u[:, first:] in order, and return the offsets of the rest."""
+        nonlocal counts, excursion
+        done = col >= 0
+        samples, col = offsets[done], col[done]
+        out[samples] = np.ascontiguousarray((tables.s < 0).T)[col]
+        aborted[samples] = tables.aborted[col]
+        counts += (tables.flagged[col].sum(), tables.n_clipped[col].sum(), 0, 0, 0)
+        excursion = max(excursion, float(tables.max_clip_excursion[col].max(initial=0.0)))
+        rest = offsets[~done]
+        u[:, first : first + rest.size] = u[:, first : first + offsets.size][:, ~done]
+        return rest
 
-        # uniforms of the samples waiting for a run, then fresh ones
-        u = np.empty((M, min(_RUN_SAMPLES_PER_COLUMN * tables.W, n)))
-        idx = np.empty(0, dtype=np.int64)  # offset of the sample in each column of u
-        fresh = 0
-        trie = False  # whether the tables hold a finished run
-        while fresh < n or idx.size:
-            take = min(u.shape[1] - idx.size, n - fresh)
-            new = slice(idx.size, idx.size + take)
-            u[:, new] = _stream_uniforms(config.seed, start + fresh, take, M).T
-            offsets = np.arange(fresh, fresh + take)
-            fresh += take
-            if trie and take:
-                offsets = settle(idx.size, offsets, tables.route(u[:, new]))
-                counts += (0, 0, 0, offsets.size, take - offsets.size)
-            idx = np.concatenate([idx, offsets])
-            if not idx.size or (fresh < n and idx.size < u.shape[1]):
-                continue
-            idx = settle(0, idx, tables.run(u[:, : idx.size]))
-            trie = True
-            counts += (0, 0, tables.table_columns, idx.size, 0)
-    else:
-        for t in range(n):
-            chain = ScalarChain(kappa, config)
-            chain.run(uniforms=_stream_uniforms(config.seed, start + t, 1, M)[0])
-            out[t] = chain.sign < 0
-            aborted[t] = chain.aborted[0]
-            counts += (chain.flagged[0], chain.n_clipped[0], M, 0, 0)
-            excursion = max(excursion, float(chain.max_clip_excursion[0]))
+    # uniforms of the samples waiting for a run, then fresh ones
+    u = np.empty((M, min(_RUN_SAMPLES_PER_COLUMN * tables.W, n)))
+    idx = np.empty(0, dtype=np.int64)  # offset of the sample in each column of u
+    fresh = 0
+    trie = False  # whether the tables hold a finished run
+    while fresh < n or idx.size:
+        take = min(u.shape[1] - idx.size, n - fresh)
+        new = slice(idx.size, idx.size + take)
+        u[:, new] = _stream_uniforms(config.seed, start + fresh, take, M).T
+        offsets = np.arange(fresh, fresh + take)
+        fresh += take
+        if trie and take:
+            offsets = settle(idx.size, offsets, tables.route(u[:, new]))
+            counts += (0, 0, 0, offsets.size, take - offsets.size)
+        idx = np.concatenate([idx, offsets])
+        if not idx.size or (fresh < n and idx.size < u.shape[1]):
+            continue
+        idx = settle(0, idx, tables.run(u[:, : idx.size]))
+        trie = True
+        counts += (0, 0, tables.table_columns, idx.size, 0)
     return out, aborted, counts, excursion
 
 
 def _pool_chunk(kappa: SubsetTable, config: SamplerConfig, start: int, stop: int):
     """One pool task: a sample range, run by whatever the module global _chunk_chain is."""
     return _chunk_chain(kappa, config, start, stop)
-
-
-def sample_one(kappa: SubsetTable, config: SamplerConfig, index: int = 0) -> np.ndarray:
-    """Generate the bitstring of sample `index` of the configured stream."""
-    bits, aborted, *_ = _chunk_chain(kappa, config, index, index + 1)
-    if aborted[0]:
-        raise ValidationError("sample aborted: non-finite table values")
-    return bits[0]
 
 
 def exact_reference_sampler(inst: GaussianInstance, config: SamplerConfig) -> SampleBatch:
@@ -899,7 +881,7 @@ def exact_reference_sampler(inst: GaussianInstance, config: SamplerConfig) -> Sa
     wall = time.perf_counter() - t0
     return SampleBatch(
         M=M, N=config.N, bitstrings=bits, method="exact_reference", K=0,
-        seed=config.seed, wall_time=wall, engine="exact",
+        seed=config.seed, wall_time=wall,
         per_sample_mean=wall / config.N if config.N else 0.0,
     )
 
@@ -909,7 +891,7 @@ def batch_sample(
     kappa: SubsetTable | None = None,
     inst: GaussianInstance | None = None,
 ) -> SampleBatch:
-    """Generate N samples; chain methods need the cumulant table.
+    """Generate N samples; chain configs need the cumulant table and must fit MarginalTables.
 
     N is split into one contiguous range of ceil(N / workers) samples per
     worker; one worker runs its range in-process, more run one pool task
@@ -925,6 +907,11 @@ def batch_sample(
     if kappa is None:
         raise ValidationError("chain methods need the cumulant table")
     _check_table(kappa, config, inst)
+    if not _fast_supported(config):
+        raise ValidationError(
+            f"{config.method} at K={config.K}, aux orders {config.aux_orders} is beyond the "
+            "batched rules (single_elision K <= 3, aux up to 2,2,0; double_elision K <= 5, aux "
+            "up to 3,3,2); use exact_reference (M <= 20) or chain_joint_probability")
     M = kappa.M
     t0 = time.perf_counter()
     bits = np.empty((config.N, M), dtype=np.uint8)
@@ -954,15 +941,13 @@ def batch_sample(
     bits = bits[keep]
     wall = time.perf_counter() - t0
     n_ok = int(keep.sum())
-    batched = _fast_supported(config)
     return SampleBatch(
         M=M, N=n_ok, bitstrings=bits, method=config.method, K=config.K,
         seed=config.seed, wall_time=wall,
         per_sample_mean=wall / max(n_ok, 1),
         n_failed=int(config.N - n_ok), max_clip_excursion=excursion,
-        worker_errors=worker_errors, engine="batched" if batched else "scalar",
-        aux_values_per_sample=(
-            aux_values_per_sample(M, config.method, config.K, config.aux_orders) if batched else 0),
+        worker_errors=worker_errors,
+        aux_values_per_sample=aux_values_per_sample(M, config.method, config.K, config.aux_orders),
         **dict(zip(_COUNTS, map(int, counts))),
     )
 

@@ -227,8 +227,7 @@ def test_criterion_10_scaling(tmp_path, capsys):
     t0 = time.perf_counter()
     code = cli.main([
         "scaling", "--orders", "3", "--modes", "32,48,64,96,128",
-        "--samples-per-point", "2048", "--precompute-workers", str(WORKERS),
-        "--out", str(tmp_path / "scaling"),
+        "--samples-per-point", "2048", "--out", str(tmp_path / "scaling"),
     ])
     out = capsys.readouterr().out
     man = json.loads(out)

@@ -228,7 +228,7 @@ def test_sample_roundtrip(tmp_path, capsys, instance_file, table_file):
     assert man["n_clipped"] == 0 and man["max_clip_excursion"] == 0.0
     assert man["throughput_per_s"] > 0
     # one table column per distinct prefix: fewer column-steps than N * M
-    assert man["engine"] == "batched" and man["sample_steps"] == 500 * 6
+    assert man["sample_steps"] == 500 * 6
     assert 0 < man["table_columns"] < man["sample_steps"] and man["n_deferred"] == 0
     assert man["n_routed"] == 0  # all 500 samples fit one table run
     batch = load_samples(out)
@@ -236,7 +236,7 @@ def test_sample_roundtrip(tmp_path, capsys, instance_file, table_file):
 
 
 @pytest.mark.parametrize("method,order,engine", [
-    ("single_elision", "3", "batched"), ("single_elision", "4", "scalar"),
+    ("single_elision", "3", "batched"),
     ("double_elision", "5", "batched"), ("exact_reference", "5", "exact"),
 ])
 def test_sample_manifest_names_engine(tmp_path, capsys, instance_file, table_file,
@@ -245,7 +245,9 @@ def test_sample_manifest_names_engine(tmp_path, capsys, instance_file, table_fil
     code, man, _ = run_cli(capsys, "sample", *table,
                            "--instance", str(instance_file), "--method", method,
                            "--order", order, "--samples", "3", "--out", str(tmp_path / "s.txt"))
-    assert code == 0 and man["engine"] == engine
+    # each method has one engine: only MarginalTables holds aux values
+    assert code == 0 and "engine" not in man
+    assert (man["aux_values_per_sample"] > 0) == (engine == "batched")
 
 
 def test_sample_vacuum_lines(tmp_path, capsys):
@@ -385,13 +387,29 @@ def test_sample_manifest_reports_aux_memory(tmp_path, capsys, instance_file, tab
     assert man["aux_values_per_sample"] > 0
 
 
-def test_sample_manifest_scalar_engine_reports_no_aux_memory(tmp_path, capsys, instance_file,
-                                                             table_file):
-    # K = 4 single elision runs on ScalarChain, which holds no MarginalTables columns
-    _, man, _ = run_cli(capsys, "sample", "--table", str(table_file),
-                        "--instance", str(instance_file), "--method", "single_elision",
-                        "--order", "4", "--samples", "10", "--out", str(tmp_path / "s.txt"))
-    assert man["engine"] == "scalar" and man["aux_values_per_sample"] == 0
+# chain configs beyond the rules MarginalTables holds, and the limit each breaks
+_BEYOND_TABLES = {
+    "single_k4": (["--method", "single_elision", "--order", "4"], "single_elision K <= 3"),
+    "single_default_order": (["--method", "single_elision"], "single_elision K <= 3"),
+    "double_k6": (["--order", "6"], "double_elision K <= 5"),
+    "double_aux_443": (["--aux-orders", "4,4,3"], "aux up to 3,3,2"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", list(_BEYOND_TABLES))
+def test_sample_refuses_configs_beyond_the_tables(tmp_path, capsys, instance_file, name, workers):
+    flags, limit = _BEYOND_TABLES[name]
+    table = tmp_path / "k6.gbsk"  # of order 6, so no config exceeds the table
+    run_cli(capsys, "precompute", "--instance", str(instance_file), "--order", "6",
+            "--out", str(table))
+    out = tmp_path / "s.txt"
+    code, man, err = run_cli(capsys, "sample", "--table", str(table),
+                             "--instance", str(instance_file), "--samples", "10",
+                             "--workers", workers, *flags, "--out", str(out))
+    assert code == 2 and man is None
+    assert limit in err and "exact_reference" in err and "chain_joint_probability" in err
+    assert not out.exists()
 
 
 def test_benchmark_displaced_instance(tmp_path, capsys, instance_file):
@@ -495,6 +513,8 @@ _BAD_ARGV = {
     "zero_samples_per_point": (_SCALING + ["--samples-per-point", "0"], "--samples-per-point"),
     "precompute_workers_removed": (["precompute", "--instance", "{inst}", "--order", "2",
                                     "--out", "{tmp}/t.gbsk", "--workers", "2"], "--workers"),
+    "scaling_precompute_workers_removed": (_SCALING + ["--precompute-workers", "2"],
+                                           "--precompute-workers"),
     "no_squeezers": (_GEN + ["--modes", "4", "--squeezers", "0"], "k=0"),
     "negative_squeezers": (_GEN + ["--modes", "4", "--squeezers", "-1"], "k=-1"),
     "no_modes": (_GEN + ["--modes", "0", "--squeezers", "0"], "M=0"),
@@ -549,7 +569,7 @@ def test_manifest_lists_inputs_and_versions(tmp_path, capsys, instance_file, tab
 
 
 def _echo_argv(tmp_path, instance_file, table_file):
-    """argv of each command, with every sample flag and the ignored flags set."""
+    """argv of each command, with every sample flag and the ignored flag set."""
     samples = tmp_path / "s.txt"
     return {
         "sample": ["sample", "--table", str(table_file), "--instance", str(instance_file),
@@ -560,12 +580,12 @@ def _echo_argv(tmp_path, instance_file, table_file):
                       "--orders", "2", "--xeb-range", "0,3", "--seed", "7",
                       "--out", str(tmp_path / "rep")],
         "scaling": ["scaling", "--orders", "2", "--modes", "6", "--samples-per-point", "2",
-                    "--precompute-workers", "3", "--out", str(tmp_path / "sc")],
+                    "--out", str(tmp_path / "sc")],
     }
 
 
 def test_manifest_config_echoes_every_parsed_flag(tmp_path, capsys, instance_file, table_file):
-    # the ignored benchmark --seed and scaling --precompute-workers included
+    # the ignored benchmark --seed included
     argv = _echo_argv(tmp_path, instance_file, table_file)
     config = {}
     for cmd in ("sample", "benchmark", "scaling"):
@@ -576,6 +596,5 @@ def test_manifest_config_echoes_every_parsed_flag(tmp_path, capsys, instance_fil
         expect = {k: v for k, v in parsed.items() if k not in ("cmd", "func")}
         assert config[cmd] == json.loads(json.dumps(expect)), cmd
     assert config["benchmark"]["seed"] == 7
-    assert config["scaling"]["precompute_workers"] == 3
     assert config["sample"]["aux_orders"] == [3, 2, 1]
     assert config["sample"]["clamp_epsilon"] == 0.01

@@ -343,18 +343,16 @@ def test_worker_count_invariance(lossy7, N, workers):
 
 
 @pytest.mark.parametrize("method,K,engine", [("double_elision", 5, "batched"),
-                                             ("single_elision", 3, "batched"),
-                                             ("single_elision", 4, "scalar")])
+                                             ("single_elision", 3, "batched")])
 def test_batch_reports_aux_values_of_engine_that_ran(lossy7, method, K, engine):
     inst, ktab = lossy7
     cfg = sp.SamplerConfig(N=4, K=K, method=method, seed=1)
     batch = sp.batch_sample(cfg, kappa=ktab)
-    assert batch.engine == engine
     layout = sp._column_layout(7, K, method, cfg.aux_orders)
     held = sum(int(np.prod(shape)) for shape, _ in layout.values())
-    assert batch.aux_values_per_sample == (held if engine == "batched" else 0)
+    assert batch.aux_values_per_sample == held
     exact = sp.batch_sample(sp.SamplerConfig(N=4, method="exact_reference"), inst=inst)
-    assert exact.engine == "exact" and exact.aux_values_per_sample == 0
+    assert exact.aux_values_per_sample == 0
 
 
 @pytest.mark.skipif(
@@ -403,7 +401,8 @@ def test_sample_one_matches_batch(lossy7):
     cfg = sp.SamplerConfig(N=5, K=5, method="double_elision", seed=9)
     batch = sp.batch_sample(cfg, kappa=ktab)
     for i in range(5):
-        assert np.array_equal(sp.sample_one(ktab, cfg, index=i), batch.bitstrings[i])
+        bits, aborted, *_ = sp._chunk_chain(ktab, cfg, i, i + 1)
+        assert not aborted[0] and np.array_equal(bits[0], batch.bitstrings[i])
 
 
 def test_stream_calls_concatenate():
@@ -744,21 +743,22 @@ def test_clip_counters():
             cfg = sp.SamplerConfig(N=40, K=2, method=method, seed=1, workers=workers)
             batch = sp.batch_sample(cfg, kappa=forced)
             assert batch.n_clipped == 40 and batch.max_clip_excursion == 0.25
-    # single elision at K=4 runs on ScalarChain only, which counts the same way
-    values = np.zeros(15)  # orders 1..4 of four modes
+    # four modes count the same way
+    values = np.zeros(10)  # orders 1 and 2 of four modes
     values[0] = 1.5
-    clipping = cu.SubsetTable(M=4, K=4, values=values, kind="cumulant")
+    clipping = cu.SubsetTable(M=4, K=2, values=values, kind="cumulant")
     # a non-finite kappa({1}) aborts every sample at step 1
     values = values.copy()
     values[1] = np.nan
-    broken = cu.SubsetTable(M=4, K=4, values=values, kind="cumulant")
-    for workers in (1, 2):
-        cfg = sp.SamplerConfig(N=40, K=4, method="single_elision", seed=1, workers=workers)
-        batch = sp.batch_sample(cfg, kappa=clipping)
-        assert batch.engine == "scalar" and batch.N == 40 and batch.n_failed == 0
-        assert batch.n_clipped == 40 and batch.max_clip_excursion == 0.25
-        batch = sp.batch_sample(cfg, kappa=broken)
-        assert batch.N == 0 and batch.n_failed == 40 and batch.worker_errors == []
+    broken = cu.SubsetTable(M=4, K=2, values=values, kind="cumulant")
+    for method in ("single_elision", "double_elision"):
+        for workers in (1, 2):
+            cfg = sp.SamplerConfig(N=40, K=2, method=method, seed=1, workers=workers)
+            batch = sp.batch_sample(cfg, kappa=clipping)
+            assert batch.N == 40 and batch.n_failed == 0
+            assert batch.n_clipped == 40 and batch.max_clip_excursion == 0.25
+            batch = sp.batch_sample(cfg, kappa=broken)
+            assert batch.N == 0 and batch.n_failed == 40 and batch.worker_errors == []
 
 
 def test_conditional_rule():
@@ -774,7 +774,7 @@ def test_conditional_rule():
         assert state.flagged.tolist() == [False, True, False, False, False]
         assert state.n_clipped.tolist() == [0, 0, 1, 1, 0]
         assert state.max_clip_excursion == pytest.approx([0, 0, 0.2, 0.2, 0], abs=1e-15)
-    # the scalar engine passes floats and one-column state
+    # ScalarChain passes floats and one-column state
     state = SimpleNamespace(**{name: np.zeros(1, dtype) for name, dtype in sp._SAMPLE_STATE.items()})
     assert float(sp._conditional(0.75, 0.5, 0.2, 0.0, state)) == 1.0
     assert state.n_clipped[0] == 1 and state.max_clip_excursion[0] == 0.5

@@ -1,18 +1,22 @@
-"""The parent-against-change scripts: their shared harness (scripts/pairs.py)
-and the diff notes of scripts/compare_outputs.py."""
+"""The measurement scripts: the shared harness of the parent-against-change
+scripts (scripts/pairs.py), the diff notes of scripts/compare_outputs.py and
+the model distribution of scripts/bench_model.py."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
+import bench_model  # noqa: E402
 import compare_outputs  # noqa: E402
 import pairs  # noqa: E402
+from gbsemu import cumulants, gaussian, sampler  # noqa: E402
 
 
 def test_pairs_alternate_parent_first():
@@ -58,6 +62,25 @@ def test_failing_child_raises_with_stderr_tail(tmp_path):
         pairs.run_child(code, tmp_path, "arg")
     assert str(exc.value).endswith("the last words")
     assert "arg" in str(exc.value) and len(str(exc.value)) < 2200
+
+
+@pytest.mark.parametrize("method,K", [("single_elision", 3), ("double_elision", 5)])
+def test_model_distribution_is_chain_joint_probability(method, K):
+    inst, _ = gaussian.random_instance(6, 3, 0.5, 1.0, seed=2)
+    ktab = cumulants.cumulants_from_correlators(cumulants.correlator_table(inst, 5))
+    config = sampler.SamplerConfig(N=0, K=K, method=method)
+    model = bench_model.model_distribution(ktab, config)
+    assert abs(model.sum() - 1.0) <= 1e-12
+    for code, bits in enumerate(gaussian.outcome_bits(np.arange(64), 6)):
+        assert model[code] == sampler.chain_joint_probability(ktab, bits, config)
+
+
+def test_model_distribution_refuses_scalar_points_above_m12():
+    inst, _ = gaussian.random_instance(13, 3, 0.5, 1.0, seed=2)
+    ktab = cumulants.cumulants_from_correlators(cumulants.correlator_table(inst, 4))
+    config = sampler.SamplerConfig(N=0, K=4, method="single_elision")
+    with pytest.raises(SystemExit, match="refused at M=13"):
+        bench_model.model_distribution(ktab, config)
 
 
 @pytest.mark.parametrize("script", ["bench_phase2", "bench_oracle", "bench_sampler",
