@@ -46,7 +46,7 @@ def model_distribution(ktab, config: sampler.SamplerConfig) -> np.ndarray:
     order of ``brute_force_distribution``."""
     M = ktab.M
     bits = gaussian.outcome_bits(np.arange(2**M), M)
-    if not sampler._fast_supported(config):
+    if not sampler._fast_supported(config, M):
         if M > SCALAR_MAX_MODES:
             raise SystemExit(f"{config.method} at K={config.K} runs on ScalarChain, "
                              f"one outcome at a time: refused at M={M} > {SCALAR_MAX_MODES}")
@@ -66,7 +66,7 @@ def point(ktab, truth: np.ndarray, method: str, K: int) -> dict:
     model = model_distribution(ktab, config)
     seconds = time.perf_counter() - t0
     return {"method": method, "K": K, "aux_orders": list(config.aux_orders),
-            "via": "MarginalTables.run" if sampler._fast_supported(config)
+            "via": "MarginalTables.run" if sampler._fast_supported(config, ktab.M)
             else "chain_joint_probability",
             "tvd": 0.5 * float(np.abs(model - truth).sum()), "sum": float(model.sum()),
             "seconds": seconds}
@@ -80,8 +80,7 @@ def main() -> int:
     for M in MODES:
         for seed in SEEDS:
             inst, _ = gaussian.random_instance(M, 3, 0.5, 1.0, seed)
-            ctab = cumulants.correlator_table(inst, TABLE_ORDER)
-            ktab = cumulants.cumulants_from_correlators(ctab)
+            _, ktab = cumulants.cumulant_tables(inst, TABLE_ORDER)
             truth = gaussian.brute_force_distribution(inst)
             for method, K in CONFIGS:
                 row = {"M": M, "seed": seed, **point(ktab, truth, method, K)}

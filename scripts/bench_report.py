@@ -62,7 +62,11 @@ for _ in range(int(sys.argv[6])):
     bm.estimate_click_cumulants(arr, K)
     t["estimate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cu.click_cumulants_from_cumulants(cu.cumulants_from_correlators(cu.correlator_table(inst, K)))
+    if hasattr(cu, "cumulant_tables"):
+        kappa = cu.cumulant_tables(inst, K)[1]
+    else:  # a tree from before the one pass
+        kappa = cu.cumulants_from_correlators(cu.correlator_table(inst, K))
+    cu.click_cumulants_from_cumulants(kappa)
     t["theory"] = time.perf_counter() - t0
     if inst.M <= bm.BRUTE_FORCE_MAX_MODES:
         t0 = time.perf_counter()

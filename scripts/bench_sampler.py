@@ -54,11 +54,11 @@ WIDTH_POINTS = (
 LAYERS = ("step_probability_zero", "update_p1", "update_p2", "update_p_plus")
 
 _BUILD = """
-from gbsemu.cumulants import correlator_table, cumulants_from_correlators, save_table
+from gbsemu.cumulants import cumulant_tables, save_table
 from gbsemu.gaussian import random_instance
 M, K = int(sys.argv[2]), int(sys.argv[3])
 inst, _ = random_instance(M, max(1, M // 4), 0.5, 1.0, seed=1234 + M)
-save_table(cumulants_from_correlators(correlator_table(inst, K)), sys.argv[4])
+save_table(cumulant_tables(inst, K)[1], sys.argv[4])
 """
 
 _CHILD = """

@@ -23,6 +23,7 @@ from .cumulants import (
     correlator_table,
     correlators_from_cumulants,
     cumulant_recursion_residual,
+    cumulant_tables,
     cumulants_from_correlators,
     empirical_correlator_table,
     load_table,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cumulants import (
     click_cumulants_from_cumulants,
-    correlator_table,
+    cumulant_tables,
     cumulants_from_correlators,
     empirical_correlator_table,
 )
@@ -263,7 +263,7 @@ def cumulant_comparison(inst: GaussianInstance, samples, orders):
     if min(orders) < 1:
         raise ValidationError(f"cumulant orders {orders} must be at least 1")
     K = max(orders)
-    theory = click_cumulants_from_cumulants(cumulants_from_correlators(correlator_table(inst, K)))
+    theory = click_cumulants_from_cumulants(cumulant_tables(inst, K)[1])
     estimate = estimate_click_cumulants(arr, K)
     rows = []
     for d in orders:

@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import platform
@@ -25,12 +24,7 @@ import numpy as np
 
 from . import __version__
 from .benchmark import build_report, linear_fit, write_report
-from .cumulants import (
-    correlator_table,
-    cumulants_from_correlators,
-    load_table,
-    save_table,
-)
+from .cumulants import cumulant_tables, load_table, save_table
 from .errors import GbsError, ValidationError
 from .gaussian import load_instance, random_instance, save_instance
 from .sampler import (
@@ -42,8 +36,8 @@ from .sampler import (
 )
 from .subsets import partition_patterns
 
-# Wall time the scaling harness spends per Phase II point (it keeps the best run).
-_PHASE2_MIN_TIMING_S = 0.5
+# Wall time the scaling harness spends per timed point (it keeps the best run).
+_MIN_TIMING_S = 0.5
 
 # the SampleBatch fields a sample manifest reports under their own names
 _SAMPLE_FIELDS = ("n_failed", "worker_errors", "n_flagged", "n_clipped", "max_clip_excursion",
@@ -110,9 +104,8 @@ def cmd_precompute(args) -> int:
     for d in range(1, args.order + 1):
         partition_patterns(d)
     t2 = time.perf_counter()
-    ctab = correlator_table(inst, args.order)
-    t3 = time.perf_counter()
-    ktab = cumulants_from_correlators(ctab)
+    times = {}
+    ctab, ktab = cumulant_tables(inst, args.order, times)
     t4 = time.perf_counter()
     out = Path(args.out)
     corr_out = out.with_suffix(".gbsc")
@@ -120,8 +113,8 @@ def cmd_precompute(args) -> int:
     save_table(ctab, corr_out)
     t5 = time.perf_counter()
     _emit(_manifest(args, [args.instance], [str(out), str(corr_out)], t0,
-                    extra={"phase1_s": t2 - t1, "phase2_s": t3 - t2, "transform_s": t4 - t3,
-                           "save_s": t5 - t4, "entries": int(ktab.values.size)}))
+                    extra={"phase1_s": t2 - t1, **times, "save_s": t5 - t4,
+                           "entries": int(ktab.values.size)}))
     return 0
 
 
@@ -177,33 +170,25 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _time_sampling(kappa, config: SamplerConfig) -> float:
-    """Seconds to draw config.N samples, after one discarded warmup batch."""
-    batch_sample(dataclasses.replace(config, N=min(4, config.N), workers=1), kappa=kappa)
-    t0 = time.perf_counter()
-    batch_sample(config, kappa=kappa)
-    return time.perf_counter() - t0
+def _best_time(run):
+    """Best seconds of run() and its last result.
+
+    Repeats until _MIN_TIMING_S has been spent: at small M one run takes
+    milliseconds, where a single timing mostly measures host noise.
+    """
+    best, spent = float("inf"), 0.0
+    while spent < _MIN_TIMING_S:
+        t0 = time.perf_counter()
+        result = run()
+        dt = time.perf_counter() - t0
+        best, spent = min(best, dt), spent + dt
+    return best, result
 
 
 def _scaling_instance(M: int, K: int):
     """The scaling harness's instance at M modes, and the chain method it samples at order K."""
     inst, _ = random_instance(M, max(1, M // 4), 0.5, 1.0, seed=1234 + M)
     return inst, "single_elision" if K <= 3 else "double_elision"
-
-
-def _time_phase2(inst, K: int):
-    """Best seconds of correlator table plus cumulant transform, and the cumulant table.
-
-    Repeats until _PHASE2_MIN_TIMING_S has been spent: at small M one run
-    takes milliseconds, where a single timing mostly measures host noise.
-    """
-    best, spent = float("inf"), 0.0
-    while spent < _PHASE2_MIN_TIMING_S:
-        t0 = time.perf_counter()
-        ktab = cumulants_from_correlators(correlator_table(inst, K))
-        dt = time.perf_counter() - t0
-        best, spent = min(best, dt), spent + dt
-    return best, ktab
 
 
 def cmd_scaling(args) -> int:
@@ -220,9 +205,9 @@ def cmd_scaling(args) -> int:
             for d in range(1, K + 1):
                 partition_patterns(d)
             t_phase1 = time.perf_counter() - t1
-            t_phase2, ktab = _time_phase2(inst, K)
+            t_phase2, (_, ktab) = _best_time(lambda: cumulant_tables(inst, K))
             cfg = SamplerConfig(N=args.samples_per_point, K=K, method=method, seed=7)
-            t_sample = _time_sampling(ktab, cfg) / cfg.N
+            t_sample = _best_time(lambda: batch_sample(cfg, kappa=ktab))[0] / cfg.N
             rows.append(
                 {"M": M, "K": K, "t_phase1": t_phase1, "t_phase2": t_phase2,
                  "t_per_sample": t_sample}
@@ -249,10 +234,11 @@ def cmd_scaling(args) -> int:
     if args.workers:
         K = args.orders[0]
         inst, method = _scaling_instance(args.throughput_modes, K)
-        ktab = cumulants_from_correlators(correlator_table(inst, K))
+        _, ktab = cumulant_tables(inst, K)
         for w in args.workers:
             cfg = SamplerConfig(N=args.samples_per_point, K=K, method=method, seed=7, workers=w)
-            throughput_rows.append({"workers": w, "throughput": cfg.N / _time_sampling(ktab, cfg)})
+            seconds = _best_time(lambda: batch_sample(cfg, kappa=ktab))[0]
+            throughput_rows.append({"workers": w, "throughput": cfg.N / seconds})
         tp_csv = outdir / "throughput.csv"
         with open(tp_csv, "w") as fh:
             fh.write("workers,throughput\n")

@@ -7,7 +7,8 @@ Cumulants are the partition-weighted transform of correlators.  Both
 live in dense arrays indexed by the order-then-colex layout of
 :mod:`gbsemu.subsets`, which the sampler reads directly.  One chunked
 pass over that layout, :func:`_subset_transform`, turns no-click
-probabilities into correlators and correlators into cumulants and back.
+probabilities into correlators and correlators into cumulants and back;
+:func:`cumulant_tables` does the first two steps in one pass.
 The scalar references :func:`correlator` and
 :func:`moments_from_click_marginals` take each vacuum overlap from
 :func:`gbsemu.gaussian._no_click_probabilities` instead.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import os
 import struct
+import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -111,48 +113,45 @@ def _no_click_sum(inst: GaussianInstance, subset: tuple, w: float) -> float:
 def correlator_table(inst: GaussianInstance, K: int) -> SubsetTable:
     """Correlators of every subset of order 1..K.
 
-    The no-click probability P0 of every subset is computed once, into the
-    table itself, by :func:`_no_click_lattice`: each subset extends its
-    parent's inverse by one mode through a 2x2 Schur complement, so no
-    subset needs its own determinant.  :func:`_subset_transform` then
-    turns the table into correlators in place, order K first, with the
-    terms of :func:`correlator`: (-1)^d for the empty sub-subset and
-    (-1)^d (-2)^|R| P0(R) for each other one.  The table agrees with
-    per-subset calls to 1e-13 and does not depend on the chunk size.
-    Refuses when the table plus the stored inverses of orders 1..K-2 would
-    exceed the memory cap (GBS_MEM_CAP_BYTES or 8 GiB); raises
-    NumericalError naming the modes of a subset whose shifted covariance
-    is not positive definite.
+    :func:`_no_click_lattice` computes the no-click probability P0 of
+    every subset once, and one :func:`_subset_transform` stage turns it
+    into correlators with the terms of :func:`correlator`.  The table
+    agrees with per-subset calls to 1e-13 and does not depend on the
+    chunk size.  Refuses past the memory cap, and raises NumericalError
+    naming the modes of a subset whose shifted covariance is not
+    positive definite (both in :func:`_no_click_lattice`).
     """
-    M = inst.M
-    if not 1 <= K <= min(MAX_ORDER, M):
-        raise ValidationError(f"order K={K} invalid for M={M}")
-    count = table_size(M, K)
-    # beside the table, the lattice keeps the (2d x 2d) inverses of orders d = 1..K-2
-    need = 8 * (count + sum(comb(M, d) * (2 * d) ** 2 for d in range(1, K - 1)))
-    cap = int(os.environ.get("GBS_MEM_CAP_BYTES") or DEFAULT_MEM_CAP_BYTES)
-    if need > cap:
-        raise ResourceGuardError(
-            f"correlator table and subset inverses need {need} bytes, cap is {cap}; "
-            "raise GBS_MEM_CAP_BYTES to proceed"
-        )
-    values = np.empty(count)
-    _no_click_lattice(inst, K, values)
-
-    def terms(d):
-        sign = (-1.0) ** d
-        return [(sign, [])] + [
-            (sign * (-2.0) ** r, [_column(R)])
-            for r in range(1, d + 1)
-            for R in combinations(range(d), r)
-        ]
-
-    _subset_transform(M, K, values, terms, values)
-    return SubsetTable(M=M, K=K, values=values, kind="correlator")
+    (values,) = _subset_transform(inst.M, K, _no_click_lattice(inst, K, tables=2),
+                                  _correlator_terms)
+    return SubsetTable(M=inst.M, K=K, values=values, kind="correlator")
 
 
-def _no_click_lattice(inst: GaussianInstance, K: int, values: np.ndarray) -> None:
-    """Write P0 of every subset of order 1..K into `values`, in the dense layout.
+def cumulant_tables(inst: GaussianInstance, K: int, times: dict | None = None):
+    """(correlator table, cumulant table) of every subset of order 1..K.
+
+    The tables of :func:`correlator_table` and
+    :func:`cumulants_from_correlators`, byte for byte, from one
+    :func:`_subset_transform` pass with two stages: P0 -> correlators,
+    then correlators -> cumulants.  If `times` is given, its "phase2_s"
+    and "transform_s" receive the seconds of the lattice and of the pass.
+    """
+    t0 = time.perf_counter()
+    p0 = _no_click_lattice(inst, K, tables=3)
+    t1 = time.perf_counter()
+    corr, kappa = _subset_transform(inst.M, K, p0, _correlator_terms, _partition_terms(True))
+    if times is not None:
+        times.update(phase2_s=t1 - t0, transform_s=time.perf_counter() - t1)
+    return (SubsetTable(M=inst.M, K=K, values=corr, kind="correlator"),
+            SubsetTable(M=inst.M, K=K, values=kappa, kind="cumulant"))
+
+
+def _no_click_lattice(inst: GaussianInstance, K: int, tables: int) -> np.ndarray:
+    """P0 of every subset of order 1..K, in the dense layout.
+
+    Refuses unless the arrays live at the peak fit the memory cap
+    (GBS_MEM_CAP_BYTES or 8 GiB): P0 beside the (2d x 2d) inverses of the
+    two highest orders d <= K - 2 (the largest two), or `tables`
+    table-sized arrays in the pass that turns P0 into tables.
 
     A = (sigma + hbar/2)/hbar is read in mode-major order: G[s, k] is the
     2x2 block of modes s and k.  A subset S with largest mode k extends
@@ -182,6 +181,16 @@ def _no_click_lattice(inst: GaussianInstance, K: int, values: np.ndarray) -> Non
     with all its k > j.  No value depends on the chunk sizes.
     """
     M, hbar = inst.M, inst.hbar
+    if not 1 <= K <= min(MAX_ORDER, M):
+        raise ValidationError(f"order K={K} invalid for M={M}")
+    count = table_size(M, K)
+    inverses = sum(comb(M, d) * (2 * d) ** 2 for d in range(max(1, K - 3), K - 1))
+    need = 8 * max(count + inverses, tables * count)
+    cap = int(os.environ.get("GBS_MEM_CAP_BYTES") or DEFAULT_MEM_CAP_BYTES)
+    if need > cap:
+        raise ResourceGuardError(f"subset tables and inverses need {need} bytes, cap is {cap}; "
+                                 "raise GBS_MEM_CAP_BYTES to proceed")
+    values = np.empty(count)
     A = (inst.sigma + (hbar / 2.0) * np.eye(2 * M)) / hbar
     G = np.ascontiguousarray(A.reshape(2, M, 2, M).transpose(1, 3, 0, 2))
     mu = np.ascontiguousarray(inst.mu.reshape(2, M).T) if inst.is_displaced else None
@@ -255,7 +264,7 @@ def _no_click_lattice(inst: GaussianInstance, K: int, values: np.ndarray) -> Non
             dst = two[j, j + 1 :] + start
             values[dst[:, None] + np.arange(n)] = wk
     np.sqrt(values, out=values)
-    np.divide(1.0, values, out=values)
+    return np.divide(1.0, values, out=values)
 
 
 def _inverse_2x2(S: np.ndarray, modes) -> tuple[np.ndarray, np.ndarray]:
@@ -344,36 +353,56 @@ def _column(positions) -> int:
     return sum(1 << p for p in positions) - 1
 
 
-def _subset_transform(M: int, K: int, src: np.ndarray, terms, out: np.ndarray) -> None:
-    """out[S] = sum over (w, cols) in terms(d) of w times the product of src
-    at the sub-subsets of S in cols, for every subset S of order d = 1..K.
+def _correlator_terms(d: int) -> list:
+    """The terms of :func:`correlator` over P0: (-1)^d for the empty
+    sub-subset, (-1)^d (-2)^|R| P0(R) for each other one."""
+    sign = (-1.0) ** d
+    return [(sign, [])] + [
+        (sign * (-2.0) ** r, [_column(R)])
+        for r in range(1, d + 1)
+        for R in combinations(range(d), r)
+    ]
+
+
+def _partition_terms(use_weights: bool):
+    """terms(d) of the partition transform: one product per set partition
+    of the d positions, weighted by its cumulant weight or by 1."""
+    return lambda d: [(pat.weight if use_weights else 1.0, [_column(b) for b in pat.blocks])
+                      for pat in partition_patterns(d)]
+
+
+def _subset_transform(M: int, K: int, src: np.ndarray, *stages) -> list[np.ndarray]:
+    """One new table per stage, a terms function: out[S] = sum over (w, cols)
+    in terms(d) of w times the product of the stage's input at the
+    sub-subsets of S in cols, for every subset S of order d = 1..K.  The
+    first stage reads src, each later one the table of the stage before.
 
     cols are columns of :func:`gbsemu.subsets.sub_subset_ranks`
     (:func:`_column`); empty cols are the empty product, 1.  Orders run
-    from K down to 1 and each chunk gathers before it writes, so out may
-    be src when the terms of a subset read only itself and lower orders.
+    upwards, and each chunk is unranked and ranked once for all stages,
+    which run in turn on it: a stage's input is final by then at lower
+    orders and at the chunk's own entries.
     """
-    for d in range(K, 0, -1):
+    outs = [np.empty_like(src) for _ in stages]
+    for d in range(1, K + 1):
         base = order_offset(M, d)
-        weighted = terms(d)
+        weighted = list(zip([src] + outs, [terms(d) for terms in stages], outs))
         for start, rows in colex_chunks(M, d, _CHUNK_ROWS):
-            gathered = src[sub_subset_ranks(rows, M)]
-            acc = np.zeros(rows.shape[0])
-            for weight, cols in weighted:
-                prod = gathered[:, cols[0]] if cols else 1.0
-                for col in cols[1:]:
-                    prod = prod * gathered[:, col]
-                acc += weight * prod
-            out[base + start : base + start + rows.shape[0]] = acc
+            ranks = sub_subset_ranks(rows, M)
+            for inp, terms, out in weighted:
+                gathered = inp[ranks]
+                acc = np.zeros(rows.shape[0])
+                for weight, cols in terms:
+                    prod = gathered[:, cols[0]] if cols else 1.0
+                    for col in cols[1:]:
+                        prod = prod * gathered[:, col]
+                    acc += weight * prod
+                out[base + start : base + start + rows.shape[0]] = acc
+    return outs
 
 
 def _partition_transform(table: SubsetTable, use_weights: bool, kind: str) -> SubsetTable:
-    def terms(d):
-        return [(pat.weight if use_weights else 1.0, [_column(block) for block in pat.blocks])
-                for pat in partition_patterns(d)]
-
-    out = np.empty_like(table.values)
-    _subset_transform(table.M, table.K, table.values, terms, out)
+    (out,) = _subset_transform(table.M, table.K, table.values, _partition_terms(use_weights))
     return SubsetTable(M=table.M, K=table.K, values=out, kind=kind)
 
 

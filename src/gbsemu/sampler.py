@@ -279,7 +279,7 @@ class MarginalTables:
     def __init__(self, kappa: SubsetTable, config: SamplerConfig, batch: int):
         if config.method not in ("single_elision", "double_elision"):
             raise ValidationError("tables are only used by the chain methods")
-        if not _fast_supported(config):
+        if not _fast_supported(config, kappa.M):
             raise ValidationError(
                 f"{config.method} at K={config.K}, aux orders {config.aux_orders} "
                 "is beyond the rules these tables hold"
@@ -729,12 +729,14 @@ def _check_table(kappa: SubsetTable, config: SamplerConfig,
         raise ValidationError(f"table M={kappa.M} does not match instance M={inst.M}")
 
 
-def _fast_supported(config: SamplerConfig) -> bool:
+def _fast_supported(config: SamplerConfig, M: int) -> bool:
+    """Whether MarginalTables holds the rules of `config` at its effective order min(K, M)."""
+    K = min(config.K, M)
     if config.method == "single_elision":
         pp, p1, _ = config.aux_orders
-        return config.K <= 3 and pp <= 2 and p1 <= 2
+        return K <= 3 and pp <= 2 and p1 <= 2
     pp, p1, p2 = config.aux_orders
-    return config.K <= 5 and pp <= 3 and p1 <= 3 and p2 <= 2
+    return K <= 5 and pp <= 3 and p1 <= 3 and p2 <= 2
 
 
 def chain_joint_probability(kappa: SubsetTable, bits, config: SamplerConfig) -> float:
@@ -742,7 +744,7 @@ def chain_joint_probability(kappa: SubsetTable, bits, config: SamplerConfig) -> 
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (kappa.M,):
         raise ValidationError(f"bitstring must have length {kappa.M}")
-    if _fast_supported(config):
+    if _fast_supported(config, kappa.M):
         tables = MarginalTables(kappa, config, batch=1)
         tables.run(None, forced=bits[:, None])
         return float(tables.pref[kappa.M][0])
@@ -907,7 +909,7 @@ def batch_sample(
     if kappa is None:
         raise ValidationError("chain methods need the cumulant table")
     _check_table(kappa, config, inst)
-    if not _fast_supported(config):
+    if not _fast_supported(config, kappa.M):
         raise ValidationError(
             f"{config.method} at K={config.K}, aux orders {config.aux_orders} is beyond the "
             "batched rules (single_elision K <= 3, aux up to 2,2,0; double_elision K <= 5, aux "

@@ -11,6 +11,7 @@ from gbsemu import cli
 from gbsemu import cumulants as cu
 from gbsemu import gaussian as g
 from gbsemu.sampler import load_samples
+from gbsemu.subsets import table_size
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +189,20 @@ def test_precompute_memory_guard(tmp_path, capsys, instance_file, monkeypatch):
                            "--order", "4", "--out", str(tmp_path / "t.gbsk"))
     assert code == 3
     assert "cap" in err
+
+
+def test_precompute_memory_guard_counts_three_tables(tmp_path, capsys, monkeypatch):
+    # the one pass holds P0, the correlators and the cumulants at once; at
+    # M=12, K=3 those three tables outweigh P0 beside the lattice's inverses
+    inst = tmp_path / "inst.json"
+    run_cli(capsys, "gen-instance", "--modes", "12", "--squeezers", "3", "--eta", "0.6",
+            "--out", str(inst))
+    need = 8 * 3 * table_size(12, 3)
+    for cap, code in ((need - 1, 3), (need, 0)):
+        monkeypatch.setenv("GBS_MEM_CAP_BYTES", str(cap))
+        got, _, err = run_cli(capsys, "precompute", "--instance", str(inst), "--order", "3",
+                              "--out", str(tmp_path / "t.gbsk"))
+        assert got == code, err
 
 
 def test_precompute_nonpositive_pair_block_exit_4(tmp_path, capsys, monkeypatch):
@@ -598,3 +613,20 @@ def test_manifest_config_echoes_every_parsed_flag(tmp_path, capsys, instance_fil
     assert config["benchmark"]["seed"] == 7
     assert config["sample"]["aux_orders"] == [3, 2, 1]
     assert config["sample"]["clamp_epsilon"] == 0.01
+
+
+def test_sample_order_above_modes_runs_the_effective_order(tmp_path, capsys):
+    # on 4 modes --order 6 is the order-4 model, which the tables hold
+    inst, table = tmp_path / "inst.json", tmp_path / "k4.gbsk"
+    run_cli(capsys, "gen-instance", "--modes", "4", "--squeezers", "2", "--eta", "0.6",
+            "--seed", "2", "--out", str(inst))
+    run_cli(capsys, "precompute", "--instance", str(inst), "--order", "4", "--out", str(table))
+    bits = {}
+    for order in ("4", "6"):
+        out = tmp_path / f"k{order}.txt"
+        code, _, err = run_cli(capsys, "sample", "--table", str(table), "--instance", str(inst),
+                               "--order", order, "--samples", "200", "--seed", "5",
+                               "--out", str(out))
+        assert code == 0, err
+        bits[order] = load_samples(out).bitstrings
+    assert np.array_equal(bits["6"], bits["4"])

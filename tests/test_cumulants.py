@@ -109,8 +109,8 @@ def test_memory_guard(inst6, monkeypatch):
 
 
 def test_memory_guard_counts_table_and_inverses(inst6, monkeypatch):
-    # P0 values are written into the correlator table itself; beside it the
-    # lattice keeps the (2d x 2d) inverses of every subset of order d <= K - 2
+    # beside P0 the lattice keeps the (2d x 2d) inverses of every subset of
+    # order d <= K - 2 = 2; at M=6 they outweigh P0's second table, the correlators
     need = 8 * (table_size(6, 4) + 6 * 2**2 + comb(6, 2) * 4**2)
     monkeypatch.setenv("GBS_MEM_CAP_BYTES", str(need - 1))
     with pytest.raises(ResourceGuardError):
@@ -145,7 +145,7 @@ def test_table_independent_of_chunk_size(monkeypatch):
     assert np.array_equal(cu.cumulants_from_correlators(small).values, kref.values)
     # the lattice's single steps (parents of orders 0 and 1) run 7-row chunks
     # and its two-mode steps 4 * 7 // 9 = 3 parents per chunk; the conversion
-    # to correlators and the transform (4 calls each, orders 4..1) ran at the
+    # to correlators and the transform (4 calls each, orders 1..4) ran at the
     # patched size
     assert caps == [7, 7, 3] + [7] * 8
 
@@ -188,14 +188,40 @@ def test_table_rejects_nonpositive_pair_block(K):
         cu.correlator_table(inst, K=K)
 
 
+def _displaced(inst, seed):
+    mu = np.random.default_rng(seed).normal(0.0, 0.7, 2 * inst.M)
+    return g.GaussianInstance(sigma=inst.sigma, mu=mu, hbar=inst.hbar)
+
+
+@pytest.mark.parametrize("displaced", [False, True])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_one_pass_tables_equal_the_two_calls(K, displaced):
+    # the pass's cumulant stage reads the correlators its first stage has
+    # just written; both tables equal the one-stage calls byte for byte
+    inst, _ = g.random_instance(M=8, k=3, eta=0.6, r_max=1.0, seed=13)
+    inst = _displaced(inst, 13) if displaced else inst
+    corr, kappa = cu.cumulant_tables(inst, K)
+    assert corr.kind == "correlator" and kappa.kind == "cumulant"
+    assert corr.values.tobytes() == cu.correlator_table(inst, K).values.tobytes()
+    assert cu.cumulants_from_correlators(corr).values.tobytes() == kappa.values.tobytes()
+    for d in range(1, K + 1):
+        for S in combinations(range(8), d):
+            assert abs(corr.value(S) - cu.correlator(inst, S)) <= 1e-13
+
+
+def test_one_pass_independent_of_chunk_size(monkeypatch):
+    inst = _displaced(g.random_instance(M=9, k=4, eta=0.6, r_max=1.0, seed=21)[0], 9)
+    ref = [t.values.tobytes() for t in cu.cumulant_tables(inst, 5)]
+    for rows in (1, 7):
+        monkeypatch.setattr(cu, "_CHUNK_ROWS", rows)
+        assert [t.values.tobytes() for t in cu.cumulant_tables(inst, 5)] == ref
+
+
 @pytest.mark.parametrize("displaced", [False, True])
 def test_lattice_matches_determinants(displaced):
     inst, _ = g.random_instance(M=9, k=4, eta=0.6, r_max=1.0, seed=21)
-    if displaced:
-        mu = np.random.default_rng(4).normal(0.0, 0.7, 18)
-        inst = g.GaussianInstance(sigma=inst.sigma, mu=mu, hbar=inst.hbar)
-    got = np.empty(table_size(9, 4))
-    cu._no_click_lattice(inst, 4, got)
+    inst = _displaced(inst, 4) if displaced else inst
+    got = cu._no_click_lattice(inst, 4, tables=1)
     for d in range(1, 5):
         rows = np.array(list(combinations(range(9), d)))
         want = g._no_click_probabilities(inst.sigma, inst.mu, inst.hbar, rows)

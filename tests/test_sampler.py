@@ -173,7 +173,7 @@ FAST_CONFIGS = FIRST_CONFIGS + [
 def test_fast_engine_matches_scalar(lossy7, method, K, aux):
     inst, ktab = lossy7
     cfg = sp.SamplerConfig(N=0, K=K, method=method, aux_orders=aux)
-    assert sp._fast_supported(cfg)
+    assert sp._fast_supported(cfg, ktab.M)
     bits = np.random.default_rng(7).integers(0, 2, (6, 7)).astype(np.uint8)
     tables = sp.MarginalTables(ktab, cfg, batch=len(bits))
     col = tables.run(None, forced=bits.T)
@@ -222,6 +222,15 @@ def test_full_order_joint_probabilities_displaced(M, seed):
     cfg = sp.SamplerConfig(N=0, K=M, method="double_elision", aux_orders=(M, M, M))
     for i, bits in enumerate(g.outcome_bits(np.arange(2**M), M)):
         assert sp.chain_joint_probability(ktab, bits, cfg) == pytest.approx(dist[i], abs=1e-9)
+
+
+def test_joint_probability_order_above_modes_is_the_effective_order():
+    # K = 6 on 4 modes runs the batched rules at min(K, M) = 4
+    inst, _ = g.random_instance(M=4, k=2, eta=0.6, r_max=1.0, seed=2)
+    ktab = make_tables(inst, 4)
+    bits = np.array([1, 0, 1, 1], dtype=np.uint8)
+    p = {K: sp.chain_joint_probability(ktab, bits, sp.SamplerConfig(N=0, K=K)) for K in (4, 6)}
+    assert p[6] == p[4]
 
 
 @pytest.mark.xfail(strict=True, reason="the full-order chain is about 2e-9 off at M = 6")
