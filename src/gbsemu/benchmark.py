@@ -8,10 +8,10 @@ functions of immutable sample arrays.
 
 from __future__ import annotations
 
-import csv
 import json
+import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
 
@@ -136,8 +136,18 @@ def total_click_histogram(samples) -> np.ndarray:
     arr = _as_samples(samples)
     if arr.shape[0] == 0:
         raise ValidationError("empty sample set")
-    counts = np.bincount(arr.sum(axis=1, dtype=np.int64), minlength=arr.shape[1] + 1)
-    return counts / arr.shape[0]
+    return _frequencies(arr.sum(axis=1, dtype=np.int64), arr.shape[1] + 1)
+
+
+def _frequencies(values: np.ndarray, size: int) -> np.ndarray:
+    """Share of each integer 0..size-1 among `values` (0 if there are none)."""
+    return np.bincount(values, minlength=size) / max(values.size, 1)
+
+
+def _index_clicks(M: int) -> np.ndarray:
+    """Click count of each outcome index 0..2^M - 1: the set bits of its 4 bytes."""
+    index_bytes = np.arange(2**M, dtype=">u4").view(np.uint8).reshape(2**M, 4)
+    return np.unpackbits(index_bytes, axis=1).sum(axis=1, dtype=np.int64)
 
 
 def exact_total_clicks(inst: GaussianInstance, dist: np.ndarray | None = None) -> np.ndarray:
@@ -147,11 +157,8 @@ def exact_total_clicks(inst: GaussianInstance, dist: np.ndarray | None = None) -
         dist = brute_force_distribution(inst)
     if np.shape(dist) != (2**M,):
         raise ValidationError(f"distribution must have 2^{M} entries, got shape {np.shape(dist)}")
-    # click count of each outcome: the set bits of its index's 4 bytes
-    index_bytes = np.arange(2**M, dtype=">u4").view(np.uint8).reshape(2**M, 4)
-    clicks = np.unpackbits(index_bytes, axis=1).sum(axis=1, dtype=np.int64)
     # bincount adds in index order, as a loop over the outcomes would
-    return np.bincount(clicks, weights=dist, minlength=M + 1)
+    return np.bincount(_index_clicks(M), weights=dist, minlength=M + 1)
 
 
 def xeb(
@@ -172,13 +179,17 @@ def xeb(
     if dist is None:
         dist = brute_force_distribution(inst)
     pC = exact_total_clicks(inst, dist)
-    weights = arr.sum(axis=1, dtype=np.int64)
-    codes = outcome_codes(arr)
-    out = []
     crange = range(M + 1) if c_range is None else c_range
+    return _xeb_rows(M, arr.sum(axis=1, dtype=np.int64), outcome_codes(arr), dist, pC, crange,
+                     min_samples)
+
+
+def _xeb_rows(M, clicks, codes, dist, pC, crange, min_samples=1) -> list[dict]:
+    """The rows of :func:`xeb` from each sample's click count and outcome code."""
+    out = []
     for C in crange:
-        mask = weights == C
-        nC = int(mask.sum())
+        mask = clicks == C
+        nC = int(np.count_nonzero(mask))
         if nC < min_samples or nC == 0:
             continue
         if pC[C] <= 0.0:
@@ -224,7 +235,7 @@ def tvd(p, q) -> float:
 def empirical_distribution(samples, M: int) -> np.ndarray:
     """Outcome frequencies over all 2^M lexicographic codes."""
     arr = _as_samples(samples)
-    return np.bincount(outcome_codes(arr[:, :M]), minlength=2**M) / max(arr.shape[0], 1)
+    return _frequencies(outcome_codes(arr[:, :M]), 2**M)
 
 
 def bootstrap(statistic, samples, B: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> tuple[float, float]:
@@ -246,33 +257,45 @@ def bootstrap(statistic, samples, B: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> 
 # ---------------------------------------------------------------------------
 
 
-def cumulant_comparison(inst: GaussianInstance, samples, orders):
-    """Rows of (subset, order, theory, estimate, se) for the scatter data.
+def cumulant_comparison(inst: GaussianInstance, samples, orders, times: dict | None = None):
+    """The scatter data: {d: (subsets, theory, estimate)} for each order d.
 
-    Both columns come from subset tables up to the highest order, through
-    the same cumulant transform: the theory column from the correlator
-    table of the instance, the estimate column from the empirical one.
-    The bootstrap is not run, so se is 0.  Rows run order by order, each
-    in lexicographic subset order.
+    `subsets` holds the C(M, d) order-d subsets as rows, in lexicographic
+    order; `theory` and `estimate` hold their click cumulants.  Both
+    columns come from subset tables up to the highest order, through the
+    same cumulant transform: the theory column from the correlator table
+    of the instance, the estimate column from the empirical one.  The
+    bootstrap is not run.  If `times` is given, its "theory_s" and
+    "estimate_s" receive the seconds of the two columns.
     """
     arr = _as_samples(samples)
-    if arr.shape[1] != inst.M:
-        raise ValidationError(f"samples M={arr.shape[1]} does not match instance M={inst.M}")
+    M = inst.M
+    if arr.shape[1] != M:
+        raise ValidationError(f"samples M={arr.shape[1]} does not match instance M={M}")
     if not orders:
-        return []
+        return {}
     if min(orders) < 1:
         raise ValidationError(f"cumulant orders {orders} must be at least 1")
-    K = max(orders)
-    theory = click_cumulants_from_cumulants(cumulant_tables(inst, K)[1])
-    estimate = estimate_click_cumulants(arr, K)
-    rows = []
     for d in orders:
-        subsets = list(combinations(range(inst.M), d))
-        ranks = dense_rank(np.array(subsets, dtype=np.int64).T, inst.M)
-        for S, i in zip(subsets, ranks.tolist()):
-            rows.append({"subset": S, "order": d, "theory": float(theory[i]),
-                         "estimate": float(estimate[i]), "se": 0.0})
-    return rows
+        if comb(M, d) < 2:
+            raise ValidationError(
+                f"report order {d} has {comb(M, d)} subset(s) of M={M} modes; "
+                "a correlation needs at least 2"
+            )
+    K = max(orders)
+    t0 = time.perf_counter()
+    theory = click_cumulants_from_cumulants(cumulant_tables(inst, K)[1])
+    t1 = time.perf_counter()
+    estimate = estimate_click_cumulants(arr, K)
+    if times is not None:
+        times.update(theory_s=t1 - t0, estimate_s=time.perf_counter() - t1)
+    scatter = {}
+    for d in orders:
+        subsets = np.fromiter(chain.from_iterable(combinations(range(M), d)), dtype=np.int64,
+                              count=comb(M, d) * d).reshape(-1, d)
+        ranks = dense_rank(subsets.T, M)
+        scatter[d] = (subsets, theory[ranks], estimate[ranks])
+    return scatter
 
 
 def build_report(
@@ -280,66 +303,79 @@ def build_report(
     samples,
     orders=(2, 3),
     xeb_range=None,
-) -> tuple[BenchmarkReport, list[dict]]:
-    """Full comparison suite; XEB/TVD are skipped (with a note) beyond desk scale."""
+    times: dict | None = None,
+) -> tuple[BenchmarkReport, dict]:
+    """Full comparison suite; XEB/TVD are skipped (with a note) beyond desk scale.
+
+    If `times` is given, it receives the seconds of the theory and
+    estimate columns ("theory_s", "estimate_s") and, up to
+    ``BRUTE_FORCE_MAX_MODES``, of the exact oracle ("oracle_s") and of
+    the click histogram, XEB and TVD ("xeb_tvd_s").
+    """
     arr = _as_samples(samples)
+    M = inst.M
     report = BenchmarkReport()
-    scatter = cumulant_comparison(inst, arr, orders)
-    for d in orders:
-        theory = [r["theory"] for r in scatter if r["order"] == d]
-        est = [r["estimate"] for r in scatter if r["order"] == d]
+    scatter = cumulant_comparison(inst, arr, orders, times)
+    for d, (_, theory, est) in scatter.items():
         report.pearson[d] = pearson(theory, est)
         report.spearman[d] = spearman(theory, est)
         report.slope[d], report.intercept[d] = linear_fit(theory, est)
-    hist = total_click_histogram(arr)
-    if inst.M <= BRUTE_FORCE_MAX_MODES:
+    if M <= BRUTE_FORCE_MAX_MODES:
+        t0 = time.perf_counter()
         dist = brute_force_distribution(inst)
+        t1 = time.perf_counter()
+        # each sample's outcome code and click count, once for all three statistics
+        codes = outcome_codes(arr)
+        clicks = _index_clicks(M)[codes]
+        hist = _frequencies(clicks, M + 1)
         exact_hist = exact_total_clicks(inst, dist)
         report.clicks = [
             {"C": C, "p_emp": float(hist[C]), "p_exact": float(exact_hist[C])}
-            for C in range(inst.M + 1)
+            for C in range(M + 1)
         ]
-        report.xeb = xeb(arr, inst, c_range=xeb_range, dist=dist)
-        report.tvd = tvd(empirical_distribution(arr, inst.M), dist)
+        crange = range(M + 1) if xeb_range is None else xeb_range
+        report.xeb = _xeb_rows(M, clicks, codes, dist, exact_hist, crange)
+        report.tvd = tvd(_frequencies(codes, 2**M), dist)
+        if times is not None:
+            times.update(oracle_s=t1 - t0, xeb_tvd_s=time.perf_counter() - t1)
     else:
+        hist = total_click_histogram(arr)
         report.clicks = [{"C": C, "p_emp": float(hist[C]), "p_exact": float("nan")}
-                         for C in range(inst.M + 1)]
+                         for C in range(M + 1)]
         report.notes.append(
-            f"M={inst.M} > {BRUTE_FORCE_MAX_MODES}: XEB and TVD skipped (no exact oracle)"
+            f"M={M} > {BRUTE_FORCE_MAX_MODES}: XEB and TVD skipped (no exact oracle)"
         )
     return report, scatter
 
 
-def write_report(outdir, report: BenchmarkReport, scatter: list[dict]) -> list[str]:
-    """Emit cumulants_scatter.csv, xeb.csv, clicks.csv and summary.json."""
+def write_report(outdir, report: BenchmarkReport, scatter: dict) -> list[str]:
+    """Emit cumulants_scatter.csv, xeb.csv, clicks.csv and summary.json.
+
+    Each CSV is built as one string and written once.  Floats appear as
+    their ``repr``, and the bytes are those that ``csv.writer`` writes from
+    these fields: none needs quoting, and every line ends in "\\r\\n".
+    The scatter's se column is the constant 0.0 (no bootstrap is run).
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    scatter_lines = (
+        "".join(map(("+".join(["%d"] * d) + f",{d},%r,%r,0.0\r\n").__mod__,
+                    zip(*subsets.T.tolist(), theory.tolist(), estimate.tolist())))
+        for d, (subsets, theory, estimate) in scatter.items()
+    )
+    texts = {
+        "cumulants_scatter.csv": "subset,order,theory,estimate,se\r\n" + "".join(scatter_lines),
+        "xeb.csv": "C,xeb,se,n,excluded\r\n" + "".join(
+            "%s,%r,%r,%s,%s\r\n" % (r["C"], r["xeb"], r["se"], r["n"], r["excluded"])
+            for r in report.xeb),
+        "clicks.csv": "C,p_emp,p_exact\r\n" + "".join(
+            "%s,%r,%r\r\n" % (r["C"], r["p_emp"], r["p_exact"]) for r in report.clicks),
+    }
     paths = []
-
-    p = outdir / "cumulants_scatter.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subset", "order", "theory", "estimate", "se"])
-        for row in scatter:
-            w.writerow(["+".join(map(str, row["subset"])), row["order"],
-                        repr(row["theory"]), repr(row["estimate"]), repr(row["se"])])
-    paths.append(str(p))
-
-    p = outdir / "xeb.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["C", "xeb", "se", "n", "excluded"])
-        for row in report.xeb:
-            w.writerow([row["C"], repr(row["xeb"]), repr(row["se"]), row["n"], row["excluded"]])
-    paths.append(str(p))
-
-    p = outdir / "clicks.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["C", "p_emp", "p_exact"])
-        for row in report.clicks:
-            w.writerow([row["C"], repr(row["p_emp"]), repr(row["p_exact"])])
-    paths.append(str(p))
+    for name, text in texts.items():
+        with open(outdir / name, "w", newline="") as fh:
+            fh.write(text)
+        paths.append(str(outdir / name))
 
     p = outdir / "summary.json"
     summary = {

@@ -151,6 +151,7 @@ def cmd_benchmark(args) -> int:
     outputs = []
     summaries = {}
     for sample_path in args.samples:
+        t1 = time.perf_counter()
         batch = load_samples(sample_path)
         if batch.N == 0:
             raise ValidationError(f"samples file {sample_path} is empty")
@@ -158,12 +159,15 @@ def cmd_benchmark(args) -> int:
             raise ValidationError(
                 f"samples M={batch.M} does not match instance M={inst.M}"
             )
-        report, scatter = build_report(inst, batch.bitstrings, args.orders, xeb_range)
+        times = {"load_s": time.perf_counter() - t1}
+        report, scatter = build_report(inst, batch.bitstrings, args.orders, xeb_range, times)
         outdir = Path(args.out) / Path(sample_path).stem
+        t1 = time.perf_counter()
         outputs.extend(write_report(outdir, report, scatter))
         summaries[str(sample_path)] = {
             "pearson": report.pearson, "spearman": report.spearman,
             "slope": report.slope, "tvd": report.tvd, "notes": report.notes,
+            **times, "write_s": time.perf_counter() - t1,
         }
     _emit(_manifest(args, list(args.samples) + [args.instance], outputs, t0,
                     extra={"summaries": summaries}))

@@ -384,8 +384,10 @@ class MarginalTables:
         """Copy columns `parents`, as they stand before step n, to columns first, first+1, ..."""
         new = slice(first, first + parents.size)
         for name, (_, rows) in self.layout.items():
-            full = getattr(self, "_" + name)
-            full[: rows[n], ..., new] = full[: rows[n], ..., parents]
+            r = rows[n]
+            if r:
+                full = getattr(self, "_" + name)
+                full[:r, ..., new] = np.take(full[:r], parents, axis=-1)
         for name in _SAMPLE_STATE:
             full = getattr(self, "_" + name)
             full[new] = full[parents]

@@ -1,3 +1,5 @@
+import csv
+import io
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +10,7 @@ from gbsemu import cumulants as cu
 from gbsemu import gaussian as g
 from gbsemu import sampler as sp
 from gbsemu.errors import ValidationError
-from gbsemu.subsets import order_offset, subset_rank
+from gbsemu.subsets import dense_rank, order_offset, subset_rank
 from oracles import plugin_click_cumulant
 
 
@@ -305,6 +307,76 @@ def test_comparison_rejects_order_below_one(inst6):
         bm.cumulant_comparison(inst6, np.zeros((10, 6), dtype=np.uint8), orders=(0, 2))
 
 
+@pytest.mark.parametrize("orders", [(3, 4), (2, 5)])
+def test_comparison_rejects_orders_without_two_subsets_first(exact_batch4, monkeypatch, orders):
+    # at M=4, order 4 has one subset and order 5 none: no correlation to report
+    inst, batch = exact_batch4
+
+    def refuse(*args):
+        raise AssertionError("theory column computed before the orders were checked")
+
+    monkeypatch.setattr(bm, "cumulant_tables", refuse)
+    monkeypatch.setattr(bm, "estimate_click_cumulants", refuse)
+    with pytest.raises(ValidationError) as exc:
+        bm.cumulant_comparison(inst, batch.bitstrings, orders=orders)
+    assert f"order {orders[-1]}" in str(exc.value) and "M=4" in str(exc.value)
+
+
+def test_scatter_columns_gather_the_tables(inst6):
+    # rows in lexicographic subset order; each entry is table[dense_rank(S)]
+    arr = sp.exact_reference_sampler(
+        inst6, sp.SamplerConfig(N=5000, method="exact_reference", seed=12)).bitstrings
+    scatter = bm.cumulant_comparison(inst6, arr, orders=(3, 2))
+    assert list(scatter) == [3, 2]
+    theory = cu.click_cumulants_from_cumulants(cu.cumulant_tables(inst6, 3)[1])
+    estimate = bm.estimate_click_cumulants(arr, 3)
+    for d, (subsets, th, es) in scatter.items():
+        assert subsets.tolist() == [list(S) for S in combinations(range(6), d)]
+        for S, t, e in zip(subsets.tolist(), th.tolist(), es.tolist()):
+            rank = int(dense_rank(np.array(S)[:, None], 6)[0])
+            assert t == theory[rank] and e == estimate[rank]
+
+
+_AWKWARD = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-05, 1e16, -2.5,
+            -1.2345678901234567e-300, 0.1 + 0.2]
+
+
+def test_write_report_bytes_match_csv_writer(tmp_path):
+    # the one-string writer against csv.writer fed the repr of every float
+    vals = np.array(_AWKWARD)
+    n2, n3 = len(list(combinations(range(5), 2))), len(list(combinations(range(5), 3)))
+    scatter = {
+        3: (np.array(list(combinations(range(5), 3))), np.resize(vals, n3), -np.resize(vals, n3)),
+        2: (np.array(list(combinations(range(5), 2))), np.resize(vals[::-1], n2),
+            np.resize(vals, n2)),
+    }
+    report = bm.BenchmarkReport()
+    report.xeb = [{"C": i, "xeb": v, "se": -v, "n": 7 * i, "excluded": i % 2}
+                  for i, v in enumerate(_AWKWARD)]
+    report.clicks = [{"C": i, "p_emp": v, "p_exact": _AWKWARD[-1 - i]}
+                     for i, v in enumerate(_AWKWARD)]
+    bm.write_report(tmp_path, report, scatter)
+
+    def csv_bytes(header, rows):
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        return buf.getvalue().encode()
+
+    scatter_rows = [["+".join(map(str, S)), d, repr(t), repr(e), repr(0.0)]
+                    for d, (subsets, th, es) in scatter.items()
+                    for S, t, e in zip(subsets.tolist(), th.tolist(), es.tolist())]
+    assert (tmp_path / "cumulants_scatter.csv").read_bytes() == csv_bytes(
+        ["subset", "order", "theory", "estimate", "se"], scatter_rows)
+    assert (tmp_path / "xeb.csv").read_bytes() == csv_bytes(
+        ["C", "xeb", "se", "n", "excluded"],
+        [[r["C"], repr(r["xeb"]), repr(r["se"]), r["n"], r["excluded"]] for r in report.xeb])
+    assert (tmp_path / "clicks.csv").read_bytes() == csv_bytes(
+        ["C", "p_emp", "p_exact"],
+        [[r["C"], repr(r["p_emp"]), repr(r["p_exact"])] for r in report.clicks])
+
+
 def test_report_beyond_desk_scale_skips_xeb_tvd():
     # cumulant statistics still run when no exact oracle exists (M > 20)
     inst, _ = g.random_instance(M=22, k=11, eta=0.6, r_max=1.0, seed=22)
@@ -315,7 +387,8 @@ def test_report_beyond_desk_scale_skips_xeb_tvd():
     report, scatter = bm.build_report(inst, batch.bitstrings, orders=(2,))
     assert report.tvd is None and not report.xeb
     assert report.notes and "skipped" in report.notes[0]
-    assert 2 in report.pearson and len(scatter) == 231
+    subsets, theory, estimate = scatter[2]
+    assert 2 in report.pearson and len(subsets) == len(theory) == len(estimate) == 231
 
 
 def test_plugin_cumulants_within_bootstrap_error(inst6):

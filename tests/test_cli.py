@@ -507,6 +507,47 @@ def test_benchmark_two_sample_files(tmp_path, capsys, instance_file):
     assert set(man["summaries"]) == set(files)
 
 
+_LAYER_TIMES = ("load_s", "estimate_s", "theory_s", "oracle_s", "xeb_tvd_s", "write_s")
+
+
+@pytest.mark.parametrize("M", [6, 22])
+def test_benchmark_manifest_layer_times(tmp_path, capsys, M):
+    # the oracle and XEB+TVD layers exist only up to the exact oracle's 20 modes
+    inst = tmp_path / "inst.json"
+    run_cli(capsys, "gen-instance", "--modes", str(M), "--squeezers", "3",
+            "--eta", "0.6", "--seed", "11", "--out", str(inst))
+    samples = tmp_path / "s.txt"
+    bits = np.random.default_rng(M).integers(0, 2, size=(500, M))
+    samples.write_text(f"# gbs-samples v1 M={M} N=500 method=x K=0 seed=0\n"
+                       + "".join("".join(map(str, row)) + "\n" for row in bits))
+    code, man, _ = run_cli(capsys, "benchmark", "--samples", str(samples), "--instance",
+                           str(inst), "--orders", "2", "--out", str(tmp_path / "rep"))
+    assert code == 0
+    summary = man["summaries"][str(samples)]
+    names = _LAYER_TIMES if M <= g.BRUTE_FORCE_MAX_MODES else (
+        "load_s", "estimate_s", "theory_s", "write_s")
+    assert {k for k in summary if k.endswith("_s")} == set(names)
+    assert all(summary[k] >= 0.0 for k in names)
+    assert sum(summary[k] for k in names) <= man["wall_time_s"]
+
+
+@pytest.mark.parametrize("orders", ["4", "2,5"])
+def test_benchmark_order_without_two_subsets_exit_2(tmp_path, capsys, orders):
+    inst = tmp_path / "inst.json"
+    run_cli(capsys, "gen-instance", "--modes", "4", "--squeezers", "2",
+            "--eta", "0.6", "--seed", "11", "--out", str(inst))
+    samples = tmp_path / "s.txt"
+    run_cli(capsys, "sample", "--instance", str(inst), "--method", "exact_reference",
+            "--samples", "200", "--seed", "1", "--out", str(samples))
+    rep = tmp_path / "rep"
+    code, man, err = run_cli(capsys, "benchmark", "--samples", str(samples),
+                             "--instance", str(inst), "--orders", orders, "--out", str(rep))
+    bad = orders.split(",")[-1]
+    assert code == 2 and man is None
+    assert f"order {bad}" in err and "M=4" in err
+    assert not rep.exists()
+
+
 _BENCHMARK = ["benchmark", "--samples", "{tmp}/s.txt", "--instance", "{inst}",
               "--out", "{tmp}/r"]
 _SCALING = ["scaling", "--modes", "8", "--out", "{tmp}/sc"]
